@@ -70,12 +70,6 @@ impl Layer for Relu {
         Vec::new()
     }
 
-    // Stateless pointwise Eval op: segments cannot interact and an artifact
-    // has nothing of this layer's to override.
-    fn supports_segmented(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "Relu"
     }
@@ -141,10 +135,6 @@ impl Layer for LeakyRelu {
         out
     }
 
-    fn supports_segmented(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "LeakyRelu"
     }
@@ -198,10 +188,6 @@ impl Layer for Tanh {
         dx
     }
 
-    fn supports_segmented(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "Tanh"
     }
@@ -253,10 +239,6 @@ impl Layer for Sigmoid {
         let mut dx = scratch.take(grad_output.rows(), grad_output.cols());
         grad_output.zip_map_into(out, |g, y| g * y * (1.0 - y), &mut dx);
         dx
-    }
-
-    fn supports_segmented(&self) -> bool {
-        true
     }
 
     fn name(&self) -> &'static str {

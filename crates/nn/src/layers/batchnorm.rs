@@ -265,10 +265,6 @@ impl Layer for BatchNorm1d {
         out
     }
 
-    fn supports_segmented(&self) -> bool {
-        true
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.gamma, &mut self.beta]
     }

@@ -10,7 +10,10 @@
 //! `≤ t` (left zero-padding of `(kernel−1)·dilation`), and the output keeps
 //! the input's time length, so TCN blocks can be residually stacked.
 
-use super::{Layer, Mode, Param};
+use super::{
+    copy_rows_in, copy_rows_out, frozen_segmented_forward, load_factor_pair, Layer, Mode, Param,
+    SegmentedContext,
+};
 use crate::adapter::{AdapterConfig, DeltaParams};
 use crate::backend::Conv1dGeometry;
 use crate::init::Init;
@@ -79,15 +82,15 @@ impl Conv1d {
         self.delta.as_ref()
     }
 
-    /// Writes `W + scale·down·up` into `w_eff` (pre-shaped by the caller to
-    /// the weight's shape) via the backend GEMM.
-    fn materialize_w_eff(&self, w_eff: &mut Tensor, scratch: &mut Scratch) {
+    /// Writes `W + scale·down·up` into a scratch tensor via the backend
+    /// GEMM. The attached delta supplies `scale`; `down`/`up` are its own
+    /// factors or, on the segmented serving path, a tenant artifact's.
+    fn materialize_w_eff(&self, down: &Tensor, up: &Tensor, scratch: &mut Scratch) -> Tensor {
         let delta = self.delta.as_ref().expect("materialize_w_eff: no delta");
+        let mut w_eff = scratch.take(self.out_ch, self.in_ch * self.kernel);
         w_eff.copy_from(&self.weight.value);
-        delta
-            .down
-            .value
-            .addmm_scaled_into(&delta.up.value, delta.scale, w_eff, scratch);
+        down.addmm_scaled_into(up, delta.scale, &mut w_eff, scratch);
+        w_eff
     }
 
     /// Input row width this layer expects (`in_ch * time_len`).
@@ -140,9 +143,8 @@ impl Layer for Conv1d {
         // parallelises over independent batch rows with a fixed per-row
         // arithmetic order, keeping results bit-identical for any thread
         // count and across backends.
-        if self.delta.is_some() {
-            let mut w_eff = scratch.take(self.out_ch, self.in_ch * self.kernel);
-            self.materialize_w_eff(&mut w_eff, scratch);
+        if let Some(delta) = &self.delta {
+            let w_eff = self.materialize_w_eff(&delta.down.value, &delta.up.value, scratch);
             crate::backend::dispatch().conv1d_forward(&geo, input, w_eff.as_slice(), b, &mut out);
             scratch.give(w_eff);
         } else {
@@ -152,6 +154,59 @@ impl Layer for Conv1d {
         match &mut self.cached_input {
             Some(c) => c.copy_from(input),
             None => self.cached_input = Some(input.clone()),
+        }
+        out
+    }
+
+    fn forward_segmented(
+        &mut self,
+        input: &Tensor,
+        ctx: &mut SegmentedContext<'_>,
+        scratch: &mut Scratch,
+    ) -> Tensor {
+        let Some(delta) = &self.delta else {
+            return frozen_segmented_forward(self, input, ctx, scratch);
+        };
+        assert_eq!(
+            input.cols(),
+            self.input_width(),
+            "Conv1d: expected {}x{} = {} input features, got {}",
+            self.in_ch,
+            self.time_len,
+            self.input_width(),
+            input.cols()
+        );
+        let geo = self.geometry();
+        let b = self.bias.value.as_slice();
+        let idx = ctx.param_cursor;
+        ctx.param_cursor += 2;
+        // Unlike Dense there is no base sweep over all rows: the delta
+        // changes the kernel itself, so an adapted segment needs a full
+        // sweep with its own W_eff and a shared base sweep would be
+        // discarded. Each segment convolves its own rows with the kernel
+        // a solo forward would use — W_eff built from the artifact's
+        // factors exactly as `forward_scratch` builds it, or W for a
+        // source-only segment — and the backend's per-row arithmetic order
+        // keeps the rows bit-identical to solo serving.
+        let mut out = scratch.take(input.rows(), geo.output_width());
+        let mut row0 = 0usize;
+        for seg in ctx.segments {
+            let w_eff = seg.delta.map(|art| {
+                let (down, up) = load_factor_pair(art, idx, delta, scratch);
+                let w_eff = self.materialize_w_eff(&down, &up, scratch);
+                scratch.give(up);
+                scratch.give(down);
+                w_eff
+            });
+            let w = w_eff.as_ref().unwrap_or(&self.weight.value).as_slice();
+            let x_seg = copy_rows_in(input, row0, seg.rows, scratch);
+            let mut out_seg = scratch.take(seg.rows, geo.output_width());
+            crate::backend::dispatch().conv1d_forward(&geo, &x_seg, w, b, &mut out_seg);
+            copy_rows_out(&out_seg, &mut out, row0);
+            for t in [out_seg, x_seg].into_iter().chain(w_eff) {
+                scratch.give(t);
+            }
+            row0 += seg.rows;
         }
         out
     }
@@ -172,15 +227,14 @@ impl Layer for Conv1d {
         // reduces the shared `dw`/`db` gradients through per-chunk buffers
         // combined in chunk order — bit-identical for any thread count and
         // across backends.
-        if self.delta.is_some() {
+        if let Some(delta) = &self.delta {
             // Frozen base: run the sweep against W_eff, catch the effective
             // weight/bias gradients in scratch, then project dW_eff onto the
             // factors (chain rule through W_eff = W + s·down·up):
             //   dDown = s · dW_eff · upᵀ,  dUp = s · downᵀ · dW_eff.
             // The bias is frozen, so its gradient sink is discarded.
             let fan = self.in_ch * self.kernel;
-            let mut w_eff = scratch.take(self.out_ch, fan);
-            self.materialize_w_eff(&mut w_eff, scratch);
+            let w_eff = self.materialize_w_eff(&delta.down.value, &delta.up.value, scratch);
             let mut dw_eff = scratch.take(self.out_ch, fan);
             let mut db_sink = scratch.take_vec(self.out_ch);
             crate::backend::dispatch().conv1d_backward(

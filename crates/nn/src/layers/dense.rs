@@ -1,6 +1,9 @@
 //! Fully-connected (affine) layer.
 
-use super::{Layer, McContext, Mode, Param, SegmentedContext};
+use super::{
+    copy_rows_in, copy_rows_out, frozen_segmented_forward, load_factor_pair, Layer, McContext,
+    Mode, Param, SegmentedContext,
+};
 use crate::adapter::{AdapterConfig, DeltaParams};
 use crate::init::Init;
 use crate::rng::Rng;
@@ -136,6 +139,9 @@ impl Layer for Dense {
         ctx: &mut SegmentedContext<'_>,
         scratch: &mut Scratch,
     ) -> Tensor {
+        let Some(delta) = &self.delta else {
+            return frozen_segmented_forward(self, input, ctx, scratch);
+        };
         assert_eq!(
             input.cols(),
             self.in_dim,
@@ -149,67 +155,31 @@ impl Layer for Dense {
         let mut out = scratch.take(input.rows(), self.out_dim);
         input.matmul_into(&self.weight.value, &mut out);
         out.add_row_broadcast_assign(self.bias.value.as_slice());
-        let (down_idx, up_idx) = (ctx.param_cursor, ctx.param_cursor + 1);
+        let idx = ctx.param_cursor;
         ctx.param_cursor += 2;
-        let Some(delta) = &self.delta else {
-            // No adapter: weight and bias occupy this layer's two artifact
-            // slots (the cursor above already skipped them) and every
-            // segment is served by the affine map alone.
-            return out;
-        };
-        let down_shape = delta.down.value.shape();
-        let up_shape = delta.up.value.shape();
         let mut row0 = 0usize;
         for seg in ctx.segments {
             let rows = seg.rows;
-            let Some(art) = seg.delta else {
-                row0 += rows;
-                continue;
-            };
-            // The engine validates artifacts with `DeltaArtifact::check`
-            // before batching; these guard against indexing drift.
-            assert_eq!(
-                art.shapes[down_idx], down_shape,
-                "forward_segmented: down factor shape mismatch at tensor {down_idx}"
-            );
-            assert_eq!(
-                art.shapes[up_idx], up_shape,
-                "forward_segmented: up factor shape mismatch at tensor {up_idx}"
-            );
-            // out[seg] += scale · (x[seg] · down) · up — the same kernels in
-            // the same order as the solo adapter path above, restricted to
-            // the segment's rows. matmul and the addmm fold-in are
-            // row-independent, so the segment's rows are bit-identical to a
-            // solo forward with this delta applied.
-            let mut x_seg = scratch.take(rows, self.in_dim);
-            x_seg.as_mut_slice().copy_from_slice(
-                &input.as_slice()[row0 * self.in_dim..(row0 + rows) * self.in_dim],
-            );
-            let mut down_t = scratch.take(down_shape.0, down_shape.1);
-            down_t.as_mut_slice().copy_from_slice(&art.values[down_idx]);
-            let mut hidden = scratch.take(rows, down_shape.1);
-            x_seg.matmul_into(&down_t, &mut hidden);
-            let mut up_t = scratch.take(up_shape.0, up_shape.1);
-            up_t.as_mut_slice().copy_from_slice(&art.values[up_idx]);
-            let mut out_seg = scratch.take(rows, self.out_dim);
-            out_seg.as_mut_slice().copy_from_slice(
-                &out.as_slice()[row0 * self.out_dim..(row0 + rows) * self.out_dim],
-            );
-            hidden.addmm_scaled_into(&up_t, delta.scale, &mut out_seg, scratch);
-            out.as_mut_slice()[row0 * self.out_dim..(row0 + rows) * self.out_dim]
-                .copy_from_slice(out_seg.as_slice());
-            scratch.give(out_seg);
-            scratch.give(up_t);
-            scratch.give(hidden);
-            scratch.give(down_t);
-            scratch.give(x_seg);
+            if let Some(art) = seg.delta {
+                // out[seg] += scale · (x[seg] · down) · up — the same kernels
+                // in the same order as the solo adapter path above,
+                // restricted to the segment's rows. matmul and the addmm
+                // fold-in are row-independent, so the segment's rows are
+                // bit-identical to a solo forward with this delta applied.
+                let (down, up) = load_factor_pair(art, idx, delta, scratch);
+                let x_seg = copy_rows_in(input, row0, rows, scratch);
+                let mut hidden = scratch.take(rows, delta.rank());
+                x_seg.matmul_into(&down, &mut hidden);
+                let mut out_seg = copy_rows_in(&out, row0, rows, scratch);
+                hidden.addmm_scaled_into(&up, delta.scale, &mut out_seg, scratch);
+                copy_rows_out(&out_seg, &mut out, row0);
+                for t in [out_seg, hidden, x_seg, up, down] {
+                    scratch.give(t);
+                }
+            }
             row0 += rows;
         }
         out
-    }
-
-    fn supports_segmented(&self) -> bool {
-        true
     }
 
     fn backward_scratch(&mut self, grad_output: &Tensor, scratch: &mut Scratch) -> Tensor {

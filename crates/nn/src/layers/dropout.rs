@@ -118,12 +118,6 @@ impl Layer for Dropout {
         Vec::new()
     }
 
-    // Identity in Eval mode (the segmented path's only mode), no trainable
-    // tensors an artifact could override.
-    fn supports_segmented(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "Dropout"
     }

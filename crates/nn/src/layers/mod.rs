@@ -129,16 +129,17 @@ pub struct SegmentSpan<'a> {
 }
 
 /// Bookkeeping for one segmented fused forward pass (the multi-tenant
-/// serving hot path).
+/// serving path).
 ///
 /// The stacked input concatenates every segment's rows; each adapted layer
-/// computes its **base** affine once over the whole batch and then adds
-/// each segment's low-rank correction to that segment's rows only. The
-/// per-segment factors live in [`crate::spec::DeltaArtifact`]s, whose
-/// tensors are indexed in global [`Layer::visit_params`] order —
-/// `param_cursor` tracks that order as the forward walks the chain, so
-/// every layer (adapted or not) must advance it by the number of trainable
-/// tensors it exposes.
+/// serves each segment from that segment's own delta — `Dense` computes its
+/// base affine once over the whole batch and adds each segment's low-rank
+/// correction to that segment's rows, `Conv1d` convolves each segment with
+/// its own effective kernel. The per-segment factors live in
+/// [`crate::spec::DeltaArtifact`]s, whose tensors are indexed in global
+/// [`Layer::visit_params`] order — `param_cursor` tracks that order as the
+/// forward walks the chain, so every layer (adapted or not) must advance it
+/// by the number of trainable tensors it exposes.
 pub struct SegmentedContext<'a> {
     /// The row segments, in stacking order. Row counts must sum to the
     /// stacked input's row count.
@@ -203,62 +204,29 @@ pub trait Layer: Send + Sync {
 
     /// `Eval` forward for the segmented multi-tenant serving path: the
     /// input stacks row segments belonging to different tenants over one
-    /// shared frozen model. Adapter-capable layers override this to run
-    /// their base computation **once** across all rows and then add each
-    /// segment's low-rank correction to that segment's rows (bit-identical
-    /// to applying the delta and running solo, because `Eval` forwards are
-    /// row-independent and the correction uses the same kernels in the same
-    /// order).
+    /// shared frozen model, and each segment's output rows must be
+    /// bit-identical to applying its delta and running those rows solo.
+    /// `Eval` forwards are row-independent, so a layer meets that by
+    /// reading each segment's trainable values from its artifact at
+    /// `ctx.param_cursor` (advancing the cursor past every trainable tensor
+    /// it exposes) and running the solo kernels in the solo order over that
+    /// segment's rows. The adapter carriers `Dense` and `Conv1d`, affine
+    /// `BatchNorm1d` and the containers override it.
     ///
-    /// The default is correct for any layer without *tenant-specific*
-    /// trainable state — `Eval` ops are row-independent, so segments cannot
-    /// interact — and advances `ctx.param_cursor` past this layer's
-    /// trainable tensors so downstream adapted layers index their artifact
-    /// factors correctly.
-    ///
-    /// Layers whose trainable tensors a tenant artifact would override —
-    /// adapter carriers, but also affine batch-norm — must override this or
-    /// report [`Layer::supports_segmented`] `== false`; the default panics
-    /// rather than silently serving the base values for every segment.
+    /// The default serves layers without tenant-specific trainable state
+    /// (activations, dropout, pooling): it advances the cursor and runs a
+    /// plain `Eval` forward. It panics rather than silently serving base
+    /// values when the layer carries adapters, or when it exposes trainable
+    /// tensors and any segment carries an artifact (artifacts store *all*
+    /// trainable tensors, not just adapter factors — batch-norm γ/β
+    /// included).
     fn forward_segmented(
         &mut self,
         input: &Tensor,
         ctx: &mut SegmentedContext<'_>,
         scratch: &mut Scratch,
     ) -> Tensor {
-        assert_eq!(
-            self.adapted_layers(),
-            0,
-            "{}: carries adapters but does not implement forward_segmented",
-            self.name()
-        );
-        let mut n = 0usize;
-        self.visit_params(&mut |_| n += 1);
-        assert!(
-            n == 0 || ctx.segments.iter().all(|s| s.delta.is_none()),
-            "{}: exposes trainable tensors the segments' artifacts would \
-             override but does not implement forward_segmented",
-            self.name()
-        );
-        ctx.param_cursor += n;
-        self.forward_scratch(input, Mode::Eval, scratch)
-    }
-
-    /// Whether every layer beneath (and including) this one serves tenant
-    /// artifacts correctly through the segmented forward. Serving engines
-    /// check this once and fall back to per-tenant apply/forward/restore
-    /// when it is false.
-    ///
-    /// This is strictly **opt-in**: the default is `false`, and a layer may
-    /// return `true` only when it either exposes no trainable tensors at
-    /// all (so an artifact has nothing of its to override — stateless `Eval`
-    /// ops are row-independent) or overrides [`Layer::forward_segmented`]
-    /// to read each segment's values from its artifact. A trainable layer
-    /// left on the default forward must stay `false`, or every tenant would
-    /// silently be served the base values (artifacts store *all* trainable
-    /// tensors, not just adapter factors — batch-norm γ/β included).
-    fn supports_segmented(&self) -> bool {
-        false
+        frozen_segmented_forward(self, input, ctx, scratch)
     }
 
     /// Trainable parameters, in a stable order. Parameter-free layers return
@@ -371,6 +339,81 @@ impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
     }
+}
+
+/// The default [`Layer::forward_segmented`], also taken by adapter-capable
+/// layers that have no adapter attached: with no delta to read, the
+/// layer's artifact slots would hold its full base tensors, which only
+/// [`crate::spec::DeltaArtifact::apply`] serves.
+fn frozen_segmented_forward<L: Layer + ?Sized>(
+    layer: &mut L,
+    input: &Tensor,
+    ctx: &mut SegmentedContext<'_>,
+    scratch: &mut Scratch,
+) -> Tensor {
+    assert_eq!(
+        layer.adapted_layers(),
+        0,
+        "{}: carries adapters but does not implement forward_segmented",
+        layer.name()
+    );
+    let mut n = 0usize;
+    layer.visit_params(&mut |_| n += 1);
+    assert!(
+        n == 0 || ctx.segments.iter().all(|s| s.delta.is_none()),
+        "{}: segments carry artifact values for its trainable tensors, \
+         which its segmented forward does not serve",
+        layer.name()
+    );
+    ctx.param_cursor += n;
+    layer.forward_scratch(input, Mode::Eval, scratch)
+}
+
+/// Loads the `(down, up)` factors a segment's artifact stores for an
+/// adapted layer at tensor indices `idx` / `idx + 1` into scratch tensors.
+///
+/// # Panics
+/// Panics if the stored shapes differ from `delta`'s. The engine validates
+/// artifacts with `DeltaArtifact::check` before batching; these asserts
+/// guard against cursor drift.
+fn load_factor_pair(
+    art: &crate::spec::DeltaArtifact,
+    idx: usize,
+    delta: &crate::adapter::DeltaParams,
+    scratch: &mut Scratch,
+) -> (Tensor, Tensor) {
+    let down_shape = delta.down.value.shape();
+    let up_shape = delta.up.value.shape();
+    assert_eq!(
+        art.shapes[idx], down_shape,
+        "forward_segmented: down factor shape mismatch at tensor {idx}"
+    );
+    assert_eq!(
+        art.shapes[idx + 1],
+        up_shape,
+        "forward_segmented: up factor shape mismatch at tensor {}",
+        idx + 1
+    );
+    let mut down = scratch.take(down_shape.0, down_shape.1);
+    down.as_mut_slice().copy_from_slice(&art.values[idx]);
+    let mut up = scratch.take(up_shape.0, up_shape.1);
+    up.as_mut_slice().copy_from_slice(&art.values[idx + 1]);
+    (down, up)
+}
+
+/// Copies rows `row0..row0 + rows` of `src` into a scratch tensor.
+fn copy_rows_in(src: &Tensor, row0: usize, rows: usize, scratch: &mut Scratch) -> Tensor {
+    let cols = src.cols();
+    let mut seg = scratch.take(rows, cols);
+    seg.as_mut_slice()
+        .copy_from_slice(&src.as_slice()[row0 * cols..(row0 + rows) * cols]);
+    seg
+}
+
+/// Writes `seg` over the rows of `dst` starting at `row0`.
+fn copy_rows_out(seg: &Tensor, dst: &mut Tensor, row0: usize) {
+    let cols = dst.cols();
+    dst.as_mut_slice()[row0 * cols..(row0 + seg.rows()) * cols].copy_from_slice(seg.as_slice());
 }
 
 #[cfg(test)]

@@ -85,12 +85,6 @@ impl Layer for GlobalAvgPool1d {
         Vec::new()
     }
 
-    // Parameter-free and row-independent (pools over time *within* each
-    // row): segments cannot interact.
-    fn supports_segmented(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "GlobalAvgPool1d"
     }

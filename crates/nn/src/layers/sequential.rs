@@ -114,11 +114,12 @@ impl Sequential {
 
     /// One `Eval` forward over a stacked multi-tenant batch: `input`
     /// concatenates each segment's rows and `segments` names the delta
-    /// serving each block (see [`SegmentSpan`]). Every layer runs its base
-    /// computation once across the whole batch; adapted layers then add
-    /// each segment's low-rank correction to that segment's rows only —
-    /// the base GEMMs (and their panel-packing cost) amortize over the
-    /// entire batch instead of being re-paid per tenant.
+    /// serving each block (see [`SegmentSpan`]). Adapted `Dense` layers run
+    /// their base GEMM once across the whole batch and add each segment's
+    /// low-rank correction to that segment's rows only, so the base GEMMs
+    /// (and their panel-packing cost) amortize over the entire batch;
+    /// adapted `Conv1d` layers convolve each segment with its own
+    /// effective kernel (see [`Layer::forward_segmented`]).
     ///
     /// Each segment's output rows are bit-identical to applying its delta
     /// and running that segment's rows through a solo `Eval` forward: the
@@ -126,9 +127,9 @@ impl Sequential {
     /// model parked on a zero-`up` checkpoint so nothing else can leak in).
     ///
     /// # Panics
-    /// Panics if segment rows don't sum to `input.rows()`, or if an adapted
-    /// layer in the chain does not implement the segmented forward (see
-    /// [`Layer::supports_segmented`]).
+    /// Panics if segment rows don't sum to `input.rows()`, or if a segment
+    /// carries an artifact for a layer whose segmented forward cannot serve
+    /// it (an adapter-capable layer with no adapter attached).
     pub fn predict_segmented_scratch(
         &mut self,
         input: &Tensor,
@@ -244,10 +245,6 @@ impl Layer for Sequential {
             x = next;
         }
         x
-    }
-
-    fn supports_segmented(&self) -> bool {
-        self.layers.iter().all(|l| l.supports_segmented())
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -445,30 +442,5 @@ mod tests {
             "width-preserving layers defer to the first constrained one"
         );
         assert_eq!(Sequential::new().add(Relu::new()).input_dim(), None);
-    }
-
-    /// Segmented serving support is opt-in: a layer with trainable tensors
-    /// an artifact would override must not claim it unless it implements
-    /// `forward_segmented` — otherwise every tenant would silently be
-    /// served the base values (the bug class: batch-norm γ/β).
-    #[test]
-    fn supports_segmented_is_opt_in() {
-        use crate::layers::{BatchNorm1d, Conv1d};
-        let mut rng = Rng::new(9);
-        assert!(tiny_mlp(&mut rng).supports_segmented());
-        let bn = Sequential::new()
-            .add(Dense::new(3, 4, Init::HeNormal, &mut rng))
-            .add(BatchNorm1d::new(4));
-        assert!(
-            bn.supports_segmented(),
-            "BatchNorm implements the segmented forward"
-        );
-        let conv = Sequential::new()
-            .add(Conv1d::new(2, 3, 3, 1, 6, &mut rng))
-            .add(Relu::new());
-        assert!(
-            !conv.supports_segmented(),
-            "a trainable layer without a segmented forward must force the fallback path"
-        );
     }
 }

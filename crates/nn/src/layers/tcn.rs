@@ -9,7 +9,7 @@
 //! blocked backend takes its fused three-tap path, bit-identical to the
 //! reference kernels.
 
-use super::{Conv1d, Dropout, Layer, McContext, Mode, Param, Relu};
+use super::{Conv1d, Dropout, Layer, McContext, Mode, Param, Relu, SegmentedContext};
 use crate::rng::Rng;
 use crate::scratch::Scratch;
 use crate::tensor::Tensor;
@@ -64,11 +64,19 @@ impl TcnBlock {
             time_len,
         }
     }
-}
 
-impl Layer for TcnBlock {
-    fn forward_scratch(&mut self, input: &Tensor, mode: Mode, scratch: &mut Scratch) -> Tensor {
-        let mut b = self.conv1.forward_scratch(input, mode, scratch);
+    /// The block's forward wiring — branch, skip, residual sum, output
+    /// ReLU — with `fwd` as every sub-layer's forward, so the plain, fused
+    /// MC-dropout and segmented forwards share one definition. Sub-layers
+    /// run in definition order: conv1, relu1, drop1, conv2, relu2, drop2,
+    /// the downsample, relu_out.
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        fwd: &mut dyn FnMut(&mut dyn Layer, &Tensor, &mut Scratch) -> Tensor,
+    ) -> Tensor {
+        let mut b = fwd(&mut self.conv1, input, scratch);
         for stage in [
             &mut self.relu1 as &mut dyn Layer,
             &mut self.drop1,
@@ -76,23 +84,29 @@ impl Layer for TcnBlock {
             &mut self.relu2,
             &mut self.drop2,
         ] {
-            let next = stage.forward_scratch(&b, mode, scratch);
+            let next = fwd(stage, &b, scratch);
             scratch.give(b);
             b = next;
         }
         let mut sum = scratch.take(b.rows(), b.cols());
         match &mut self.downsample {
             Some(down) => {
-                let skip = down.forward_scratch(input, mode, scratch);
+                let skip = fwd(down, input, scratch);
                 b.zip_map_into(&skip, |x, s| x + s, &mut sum);
                 scratch.give(skip);
             }
             None => b.zip_map_into(input, |x, s| x + s, &mut sum),
         }
         scratch.give(b);
-        let out = self.relu_out.forward_scratch(&sum, mode, scratch);
+        let out = fwd(&mut self.relu_out, &sum, scratch);
         scratch.give(sum);
         out
+    }
+}
+
+impl Layer for TcnBlock {
+    fn forward_scratch(&mut self, input: &Tensor, mode: Mode, scratch: &mut Scratch) -> Tensor {
+        self.forward_with(input, scratch, &mut |l, x, s| l.forward_scratch(x, mode, s))
     }
 
     fn backward_scratch(&mut self, grad_output: &Tensor, scratch: &mut Scratch) -> Tensor {
@@ -126,34 +140,23 @@ impl Layer for TcnBlock {
     }
 
     fn forward_mc(&mut self, input: &Tensor, ctx: &mut McContext, scratch: &mut Scratch) -> Tensor {
-        // Same chain as forward_scratch in StochasticEval mode; the dropout
-        // layers are visited in definition order (drop1, drop2), matching
-        // `dropout_rngs_mut`, so each consumes its own pre-split streams.
-        let mut b = self.conv1.forward_mc(input, ctx, scratch);
-        for stage in [
-            &mut self.relu1 as &mut dyn Layer,
-            &mut self.drop1,
-            &mut self.conv2,
-            &mut self.relu2,
-            &mut self.drop2,
-        ] {
-            let next = stage.forward_mc(&b, ctx, scratch);
-            scratch.give(b);
-            b = next;
-        }
-        let mut sum = scratch.take(b.rows(), b.cols());
-        match &mut self.downsample {
-            Some(down) => {
-                let skip = down.forward_mc(input, ctx, scratch);
-                b.zip_map_into(&skip, |x, s| x + s, &mut sum);
-                scratch.give(skip);
-            }
-            None => b.zip_map_into(input, |x, s| x + s, &mut sum),
-        }
-        scratch.give(b);
-        let out = self.relu_out.forward_mc(&sum, ctx, scratch);
-        scratch.give(sum);
-        out
+        // The dropout layers are visited in definition order (drop1, drop2),
+        // matching `dropout_rngs_mut`, so each consumes its own pre-split
+        // streams.
+        self.forward_with(input, scratch, &mut |l, x, s| l.forward_mc(x, ctx, s))
+    }
+
+    fn forward_segmented(
+        &mut self,
+        input: &Tensor,
+        ctx: &mut SegmentedContext<'_>,
+        scratch: &mut Scratch,
+    ) -> Tensor {
+        // The convs consume their artifact slots in call order — conv1,
+        // conv2, then the downsample — which is `visit_params` order.
+        self.forward_with(input, scratch, &mut |l, x, s| {
+            l.forward_segmented(x, ctx, s)
+        })
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

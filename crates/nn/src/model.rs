@@ -41,23 +41,6 @@ pub trait Regressor {
         let _ = scratch;
         self.predict(x)
     }
-
-    /// Predicts several independent input batches in one call, returning one
-    /// output tensor per input (buffers checked out of `scratch`; give them
-    /// back when done). All inputs must share the same feature width.
-    ///
-    /// This is the serving fusion point: implementations may stack the
-    /// batches into a single forward, but must produce exactly the bits
-    /// `predict_scratch` would produce for each input alone. That holds for
-    /// any row-independent `Eval` forward (matmuls accumulate per output
-    /// element, batch norm is frozen to running moments, activations are
-    /// pointwise), which is what [`Sequential`]'s override relies on. The
-    /// default simply loops, which is always correct.
-    fn predict_many_scratch(&mut self, xs: &[&Tensor], scratch: &mut Scratch) -> Vec<Tensor> {
-        xs.iter()
-            .map(|x| self.predict_scratch(x, scratch))
-            .collect()
-    }
 }
 
 /// A regressor that can run *stochastic* forward passes for sampling-based
@@ -192,50 +175,6 @@ impl Regressor for Sequential {
 
     fn predict_scratch(&mut self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
         self.forward_scratch(x, Mode::Eval, scratch)
-    }
-
-    /// Stacks all inputs into one `Eval` forward and splits the output rows
-    /// back per input. `Eval` mode is row-independent end to end (no
-    /// dropout, batch norm frozen to running moments), so each input's rows
-    /// are bit-identical to a solo `predict_scratch` — the property the
-    /// serving layer's fused cross-tenant batches are built on.
-    fn predict_many_scratch(&mut self, xs: &[&Tensor], scratch: &mut Scratch) -> Vec<Tensor> {
-        match xs {
-            [] => Vec::new(),
-            [x] => vec![self.forward_scratch(x, Mode::Eval, scratch)],
-            _ => {
-                let cols = xs[0].cols();
-                let total: usize = xs
-                    .iter()
-                    .map(|x| {
-                        assert_eq!(
-                            x.cols(),
-                            cols,
-                            "predict_many_scratch: all inputs must share feature width"
-                        );
-                        x.rows()
-                    })
-                    .sum();
-                let mut flat = scratch.take_vec_spare(total * cols);
-                for x in xs {
-                    flat.extend_from_slice(x.as_slice());
-                }
-                let stacked = Tensor::from_vec(total, cols, flat);
-                let fused = self.forward_scratch(&stacked, Mode::Eval, scratch);
-                let d = fused.cols();
-                let mut outs = Vec::with_capacity(xs.len());
-                let mut row = 0usize;
-                for x in xs {
-                    let mut out = scratch.take_vec_spare(x.rows() * d);
-                    out.extend_from_slice(&fused.as_slice()[row * d..(row + x.rows()) * d]);
-                    outs.push(Tensor::from_vec(x.rows(), d, out));
-                    row += x.rows();
-                }
-                scratch.give(fused);
-                scratch.give(stacked);
-                outs
-            }
-        }
     }
 }
 
@@ -673,39 +612,6 @@ mod tests {
         assert!(
             a.chunks(a.len() / 6).any(|c| c != first),
             "dropout must make passes differ"
-        );
-    }
-
-    #[test]
-    fn predict_many_fused_is_bit_identical_to_solo() {
-        let mut rng = Rng::new(9);
-        let mut m = mlp(&mut rng);
-        // Mixed row counts, including a single-row request.
-        let xs: Vec<Tensor> = [3usize, 1, 5]
-            .iter()
-            .map(|&n| Tensor::rand_normal(n, 2, 0.0, 1.0, &mut rng))
-            .collect();
-        let refs: Vec<&Tensor> = xs.iter().collect();
-        let mut scratch = Scratch::new();
-        let fused = m.predict_many_scratch(&refs, &mut scratch);
-        assert_eq!(fused.len(), xs.len());
-        for (x, out) in xs.iter().zip(&fused) {
-            let solo = m.predict_scratch(x, &mut scratch);
-            assert_eq!(out.shape(), solo.shape());
-            let fused_bits: Vec<u64> = out.as_slice().iter().map(|v| v.to_bits()).collect();
-            let solo_bits: Vec<u64> = solo.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                fused_bits, solo_bits,
-                "fused batch rows must match solo prediction bit-for-bit"
-            );
-            scratch.give(solo);
-        }
-        for t in fused {
-            scratch.give(t);
-        }
-        assert!(
-            m.predict_many_scratch(&[], &mut scratch).is_empty(),
-            "empty input set predicts nothing"
         );
     }
 

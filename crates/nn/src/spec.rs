@@ -1020,84 +1020,128 @@ mod tests {
         );
     }
 
-    /// Batch-norm γ/β stay trainable under adapters (TENT-style), so a
-    /// tenant's artifact carries them — the segmented fused forward must
-    /// serve each segment's *artifact* affine, bit-identical to applying
-    /// the delta and running solo, with source-only segments untouched.
+    /// The segmented fused forward must serve each segment's *artifact*
+    /// values, bit-identical to applying the delta and running solo, with
+    /// source-only segments untouched — on both model families the serving
+    /// layer batches. Batch-norm γ/β stay trainable under adapters
+    /// (TENT-style), so the MLP's artifact carries them; the PDR-style
+    /// TCN's conv deltas give each segment its own kernels, the residual
+    /// downsample included.
     #[test]
     fn segmented_forward_serves_batchnorm_affine_from_artifact() {
         use crate::adapter::{enable_adapters, AdapterConfig};
         use crate::init::Init;
-        use crate::layers::{BatchNorm1d, Dense, Layer, Relu, SegmentSpan, Sequential};
+        use crate::layers::{
+            BatchNorm1d, Dense, GlobalAvgPool1d, Layer, Relu, SegmentSpan, Sequential, TcnBlock,
+        };
         use crate::model::CheckpointRegressor;
 
+        let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
         let mut rng = Rng::new(60);
-        let mut model = Sequential::new()
+        let mlp = Sequential::new()
             .add(Dense::new(3, 4, Init::HeNormal, &mut rng))
             .add(BatchNorm1d::new(4))
             .add(Relu::new())
             .add(Dense::new(4, 2, Init::HeNormal, &mut rng));
-        // Non-trivial source running moments.
-        for _ in 0..5 {
-            let xb = Tensor::rand_normal(32, 3, 0.5, 2.0, &mut rng);
-            let _ = model.forward(&xb, Mode::Train);
+        // 2 channels × 4 steps: a downsampling block (2 → 3 channels), a
+        // same-width block, pooling over time and a Dense head.
+        let tcn = Sequential::new()
+            .add(TcnBlock::new(2, 3, 3, 1, 4, 0.1, &mut rng))
+            .add(TcnBlock::new(3, 3, 3, 2, 4, 0.1, &mut rng))
+            .add(GlobalAvgPool1d::new(3, 4))
+            .add(Dense::new(3, 2, Init::HeNormal, &mut rng));
+        for (name, mut model) in [("dense+batchnorm", mlp), ("tcn", tcn)] {
+            let width = model
+                .input_dim()
+                .expect("both models constrain their width");
+            // Non-trivial source running moments.
+            for _ in 0..5 {
+                let xb = Tensor::rand_normal(32, width, 0.5, 2.0, &mut rng);
+                let _ = model.forward(&xb, Mode::Train);
+            }
+            let cfg = AdapterConfig::rank(2);
+            enable_adapters(&mut model, &cfg, &mut rng);
+            let source = model.checkpoint();
+
+            // "Train" the tenant: drift every trainable tensor — the
+            // low-rank factors AND the batch-norm affine.
+            model.visit_params(&mut |p| {
+                let noise = Tensor::rand_normal(p.value.rows(), p.value.cols(), 0.0, 0.1, &mut rng);
+                p.value.add_assign(&noise);
+            });
+            let artifact = DeltaArtifact::capture(&mut model, &cfg);
+            let x_tenant = Tensor::rand_normal(3, width, 0.0, 1.0, &mut rng);
+            let tenant_solo = model.predict(&x_tenant);
+
+            // Park the model back on the source state (as a serving worker
+            // does) and take the reference source prediction.
+            model.restore(&source);
+            let x_source = Tensor::rand_normal(2, width, 0.0, 1.0, &mut rng);
+            let source_solo = model.predict(&x_source);
+            assert_ne!(
+                bits(model.predict(&x_tenant).as_slice()),
+                bits(tenant_solo.as_slice()),
+                "{name}: the tenant's delta must change predictions, or the \
+                 pin below proves nothing"
+            );
+
+            // One stacked segmented forward: tenant rows then source rows.
+            let stacked = Tensor::vstack(&[&x_tenant, &x_source]);
+            let segments = [
+                SegmentSpan {
+                    rows: 3,
+                    delta: Some(&artifact),
+                },
+                SegmentSpan {
+                    rows: 2,
+                    delta: None,
+                },
+            ];
+            let fused =
+                crate::scratch::with(|s| model.predict_segmented_scratch(&stacked, &segments, s));
+            let split = 3 * fused.cols();
+            assert_eq!(
+                bits(&fused.as_slice()[..split]),
+                bits(tenant_solo.as_slice()),
+                "{name}: tenant segment must be bit-identical to apply-then-solo"
+            );
+            assert_eq!(
+                bits(&fused.as_slice()[split..]),
+                bits(source_solo.as_slice()),
+                "{name}: source segment must be bit-identical to solo source serving"
+            );
         }
+    }
+
+    /// A `Dense` with no adapter exposes its full `W`/`b` as trainable
+    /// tensors, so an artifact captured from a partially adapted model
+    /// carries them. The segmented forward cannot serve those per segment
+    /// and must refuse rather than serve the base values.
+    #[test]
+    #[should_panic(expected = "segments carry artifact values")]
+    fn segmented_forward_refuses_artifact_weights_of_unadapted_dense() {
+        use crate::adapter::AdapterConfig;
+        use crate::init::Init;
+        use crate::layers::{Dense, Layer, Relu, SegmentSpan, Sequential};
+
+        let mut rng = Rng::new(61);
         let cfg = AdapterConfig::rank(2);
-        enable_adapters(&mut model, &cfg, &mut rng);
-        assert!(
-            model.supports_segmented(),
-            "a Dense+BatchNorm model must take the segmented hot path"
-        );
-        let source = model.checkpoint();
-
-        // "Train" the tenant: drift every trainable tensor — the low-rank
-        // factors AND the batch-norm affine.
-        model.visit_params(&mut |p| {
-            let noise = Tensor::rand_normal(p.value.rows(), p.value.cols(), 0.0, 0.1, &mut rng);
-            p.value.add_assign(&noise);
-        });
-        let artifact = DeltaArtifact::capture(&mut model, &cfg);
-        let x_tenant = Tensor::rand_normal(3, 3, 0.0, 1.0, &mut rng);
-        let tenant_solo = model.predict(&x_tenant);
-
-        // Park the model back on the source state (as a serving worker
-        // does) and take the reference source prediction.
-        model.restore(&source);
-        let x_source = Tensor::rand_normal(2, 3, 0.0, 1.0, &mut rng);
-        let source_solo = model.predict(&x_source);
-        assert_ne!(
-            model.predict(&x_tenant).as_slice(),
-            tenant_solo.as_slice(),
-            "the tenant's delta (γ/β included) must change predictions, \
-             or the pin below proves nothing"
-        );
-
-        // One stacked segmented forward: tenant rows then source rows.
-        let mut stacked = Tensor::zeros(5, 3);
-        stacked.as_mut_slice()[..9].copy_from_slice(x_tenant.as_slice());
-        stacked.as_mut_slice()[9..].copy_from_slice(x_source.as_slice());
-        let segments = [
-            SegmentSpan {
-                rows: 3,
-                delta: Some(&artifact),
-            },
-            SegmentSpan {
-                rows: 2,
-                delta: None,
-            },
-        ];
-        let fused =
-            crate::scratch::with(|s| model.predict_segmented_scratch(&stacked, &segments, s));
-        assert_eq!(
-            &fused.as_slice()[..6],
-            tenant_solo.as_slice(),
-            "tenant segment must be bit-identical to apply-then-solo"
-        );
-        assert_eq!(
-            &fused.as_slice()[6..],
-            source_solo.as_slice(),
-            "source segment must be bit-identical to solo source serving"
-        );
+        let mut adapted = Dense::new(3, 4, Init::HeNormal, &mut rng);
+        adapted.attach_adapters(&cfg, &mut rng);
+        let mut model = Sequential::new()
+            .add(adapted)
+            .add(Relu::new())
+            .add(Dense::new(4, 2, Init::HeNormal, &mut rng));
+        let mut artifact = DeltaArtifact::capture(&mut model, &cfg);
+        // Tensors 0/1 are the adapted layer's factors; 2 is the plain
+        // layer's weight.
+        artifact.values[2][0] += 1.0;
+        let x = Tensor::rand_normal(2, 3, 0.0, 1.0, &mut rng);
+        let segments = [SegmentSpan {
+            rows: 2,
+            delta: Some(&artifact),
+        }];
+        crate::scratch::with(|s| model.predict_segmented_scratch(&x, &segments, s));
     }
 
     #[test]

@@ -18,26 +18,25 @@
 //!    counted in `serve.stale_delta`);
 //! 3. stack **every** request in the window — all tenants — into one tall
 //!    input, group-contiguous, and run a single
-//!    [`predict_segmented_scratch`] forward: the base GEMMs (and the
-//!    compute backend's panel-packing cost) are paid once per batch, while
-//!    each tenant's rank-`r` correction is applied to its own row segment
-//!    from the artifact factors read in place. The worker model itself is
-//!    never mutated — it stays parked on the source state, so there is no
-//!    per-tenant apply/restore on the hot path at all.
+//!    [`predict_segmented_scratch`] forward that reads each tenant's
+//!    factors in place from its artifact: a `Dense` layer pays its base
+//!    GEMM (and the compute backend's panel-packing cost) once per batch
+//!    and applies each tenant's rank-`r` correction to that tenant's row
+//!    segment; a `Conv1d` layer convolves each segment with that tenant's
+//!    effective kernel. The worker model itself is never mutated — it
+//!    stays parked on the source state, so there is no per-tenant
+//!    apply/restore on the predict path at all.
 //!
-//! `Eval` forwards are row-independent and the segment corrections use the
-//! same kernels in the same order as a solo adapted forward, so each
-//! request's rows are bit-identical to solo serving (the batching suite
-//! pins this with FNV-1a hashes).
-//!
-//! Models whose adapted layers don't implement the segmented forward (see
-//! [`Layer::supports_segmented`]) fall back to the per-tenant
-//! apply → fused-group forward → restore path, preserving semantics at the
-//! cost of re-paying the base GEMMs per tenant group.
+//! `Eval` forwards are row-independent and each segment runs the same
+//! kernels in the same order as a solo adapted forward, so each request's
+//! rows are bit-identical to solo serving (the batching suite pins this
+//! with FNV-1a hashes). This is the only batch path, for every model the
+//! serving layer accepts: MLPs, batch-norm models and the PDR TCN alike.
+//! [`ServeWorker::serve_solo`] is the independent apply → forward →
+//! restore reference those pins compare against.
 //!
 //! [`predict_segmented_scratch`]: tasfar_nn::layers::Sequential::predict_segmented_scratch
 //! [`DeltaArtifact::check`]: tasfar_nn::spec::DeltaArtifact::check
-//! [`Layer::supports_segmented`]: tasfar_nn::layers::Layer::supports_segmented
 //! [`TenantRegistry::artifact_handle`]: crate::registry::TenantRegistry::artifact_handle
 
 use std::collections::HashMap;
@@ -227,12 +226,10 @@ impl ServeRuntime {
     pub fn worker(self: &Arc<Self>, seed: u64) -> ServeWorker {
         let mut rng = Rng::new(seed);
         let (model, init) = self.session.prepare_shared(&self.source, &mut rng);
-        let segmented = model.supports_segmented();
         ServeWorker {
             runtime: Arc::clone(self),
             model,
             init,
-            segmented,
             scratch: Scratch::new(),
             rng,
             group_order: Vec::new(),
@@ -249,10 +246,6 @@ pub struct ServeWorker {
     runtime: Arc<ServeRuntime>,
     model: Sequential,
     init: SeqCheckpoint,
-    /// Whether every adapted layer implements the segmented fused forward
-    /// (checked once at construction); false falls back to the per-tenant
-    /// apply/forward/restore batch path.
-    segmented: bool,
     scratch: Scratch,
     rng: Rng,
     // Per-batch grouping state, worker-owned so steady-state batches reuse
@@ -268,13 +261,12 @@ impl ServeWorker {
         &self.runtime
     }
 
-    /// Whether batches take the segmented fused hot path (every layer in the
-    /// model serves tenant artifacts through [`Layer::supports_segmented`])
-    /// rather than the per-tenant apply/forward/restore fallback. Tests
-    /// assert on this so a bit-identity pin can't silently exercise the
-    /// wrong path.
+    /// Whether batches take the segmented fused forward. Always `true`:
+    /// every layer serves tenant artifacts through
+    /// [`Layer::forward_segmented`], so there is no other batch path. Kept
+    /// for callers that report the serving path.
     pub fn is_segmented(&self) -> bool {
-        self.segmented
+        true
     }
 
     /// Returns an output tensor's buffer to the worker's scratch arena so
@@ -323,37 +315,6 @@ impl ServeWorker {
         }
     }
 
-    /// Applies `tenant`'s delta onto the worker model (or parks it on the
-    /// source state when the tenant has none / a stale one).
-    fn apply_tenant(&mut self, tenant: u64) -> ServedVia {
-        let model = &mut self.model;
-        let rng = &mut self.rng;
-        let (applied, residency) = self
-            .runtime
-            .registry
-            .with_artifact(tenant, |artifact| artifact.map(|a| a.try_apply(model, rng)));
-        match applied {
-            Some(Ok(())) => ServedVia::Delta,
-            Some(Err(e)) => {
-                // try_apply validates before mutating: the model still
-                // holds whatever it held, so park it on the source state
-                // and serve that.
-                self.model.restore(&self.init);
-                tasfar_obs::metrics::counter("serve.stale_delta").incr();
-                tasfar_obs::event(
-                    "serve.stale_delta",
-                    vec![("tenant", tenant.into()), ("error", e.to_string().into())],
-                );
-                ServedVia::SourceStaleDelta
-            }
-            None => {
-                let _ = residency;
-                self.model.restore(&self.init);
-                ServedVia::Source
-            }
-        }
-    }
-
     fn process_predict_batch(&mut self, batch: Vec<PredictRequest>) -> Vec<Completion> {
         let mut span = tasfar_obs::timed_span("serve.batch");
         // Chaos, consumed at the batch boundary: a cold-cache storm evicts
@@ -383,39 +344,10 @@ impl ServeWorker {
             self.groups[g].push(i);
         }
 
-        let mut rows_total = 0usize;
         let mut outputs: Vec<Option<(Tensor, ServedVia)>> = Vec::with_capacity(batch.len());
         outputs.resize_with(batch.len(), || None);
         let n_groups = self.group_order.len();
-        if self.segmented {
-            rows_total = self.predict_batch_segmented(&batch, &mut outputs, slow_tenant);
-        } else {
-            for g in 0..n_groups {
-                let tenant = self.group_order[g];
-                let via = self.apply_tenant(tenant);
-                let indices = std::mem::take(&mut self.groups[g]);
-                let xs: Vec<&Tensor> = indices.iter().map(|&i| &batch[i].x).collect();
-                rows_total += xs.iter().map(|x| x.rows()).sum::<usize>();
-                let outs = self.model.predict_many_scratch(&xs, &mut self.scratch);
-                if slow_tenant && g == 0 {
-                    // Burn duplicate fused forwards on this group; results
-                    // are discarded, only wall time is injected.
-                    for _ in 0..8 {
-                        for t in self.model.predict_many_scratch(&xs, &mut self.scratch) {
-                            self.scratch.give(t);
-                        }
-                    }
-                    tasfar_obs::event("serve.slow_tenant", vec![("tenant", tenant.into())]);
-                }
-                for (&i, out) in indices.iter().zip(outs) {
-                    outputs[i] = Some((out, via));
-                }
-                self.groups[g] = indices;
-            }
-            // Detach: one delta-sized restore per batch re-parks the shared
-            // model on the source state.
-            self.model.restore(&self.init);
-        }
+        let rows_total = self.predict_batch_segmented(&batch, &mut outputs, slow_tenant);
 
         span.field("requests", batch.len());
         span.field("tenants", n_groups);
@@ -440,13 +372,13 @@ impl ServeWorker {
             .collect()
     }
 
-    /// The segmented fused hot path: one whole-batch forward over every
+    /// The segmented fused forward: one whole-batch forward over every
     /// request in the window, all tenants at once. The worker model is
     /// never mutated — it stays parked on the source state, each tenant's
-    /// correction is read in place from its artifact handle — so the
-    /// per-tenant apply/restore of the fallback path disappears and the
-    /// base GEMMs are paid once per batch. Fills `outputs` (indexed like
-    /// `batch`) and returns the total row count.
+    /// delta is read in place from its artifact handle — so there is no
+    /// per-tenant apply/restore and the dense base GEMMs are paid once per
+    /// batch. Fills `outputs` (indexed like `batch`) and returns the total
+    /// row count.
     ///
     /// Caller must have populated the per-batch grouping state
     /// (`group_order` / `groups`).
@@ -525,9 +457,9 @@ impl ServeWorker {
         if slow_tenant {
             // Burn duplicate forwards on the first group's requests;
             // results are discarded, only wall time is injected.
-            let xs: Vec<&Tensor> = self.groups[0].iter().map(|&i| &batch[i].x).collect();
             for _ in 0..8 {
-                for t in self.model.predict_many_scratch(&xs, &mut self.scratch) {
+                for &i in &self.groups[0] {
+                    let t = self.model.predict_scratch(&batch[i].x, &mut self.scratch);
                     self.scratch.give(t);
                 }
             }
@@ -608,9 +540,24 @@ impl ServeWorker {
 
     /// Serves one predict immediately, bypassing the queue — the reference
     /// solo path the bit-identity pins compare against (apply → one
-    /// single-request forward → detach).
+    /// single-request forward → restore).
     pub fn serve_solo(&mut self, tenant: u64, x: &Tensor) -> (Tensor, ServedVia) {
-        let via = self.apply_tenant(tenant);
+        let (artifact, _residency) = self.runtime.registry.artifact_handle(tenant);
+        // The model is parked on the source state between operations, and
+        // `try_apply` validates before mutating: a stale delta leaves it
+        // there, so the forward below serves the source model.
+        let via = match artifact.map(|a| a.try_apply(&mut self.model, &mut self.rng)) {
+            Some(Ok(())) => ServedVia::Delta,
+            Some(Err(e)) => {
+                tasfar_obs::metrics::counter("serve.stale_delta").incr();
+                tasfar_obs::event(
+                    "serve.stale_delta",
+                    vec![("tenant", tenant.into()), ("error", e.to_string().into())],
+                );
+                ServedVia::SourceStaleDelta
+            }
+            None => ServedVia::Source,
+        };
         let out = self.model.predict_scratch(x, &mut self.scratch);
         self.model.restore(&self.init);
         (out, via)

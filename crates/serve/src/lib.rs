@@ -16,11 +16,12 @@
 //!   [`ServeError::Overloaded`] instead of panicking or blocking.
 //! - [`engine`] — the serving loop: a [`engine::ServeWorker`] takes a
 //!   window of predict requests, groups them by tenant, and runs **one
-//!   segmented whole-batch forward** over every request at once: the base
-//!   GEMMs are paid once per batch while each tenant's rank-`r` correction
-//!   is applied to its own row segment, read in place from the registry's
-//!   shared artifact handles — the model is never mutated on the predict
-//!   hot path. Adapt ops route through
+//!   segmented whole-batch forward** over every request at once, for every
+//!   model it serves (the paper's PDR TCN included): dense base GEMMs are
+//!   paid once per batch while each tenant's delta is applied to its own
+//!   row segment, read in place from the registry's shared artifact
+//!   handles — the model is never mutated on the predict path. Adapt ops
+//!   route through
 //!   [`tasfar_core::session::TenantSession`] (and therefore
 //!   `adapt_guarded`), so one tenant's divergence cannot poison the shard.
 //! - [`traffic`] — deterministic synthetic traffic (seeded Pareto
@@ -39,7 +40,6 @@
 //! counter family.
 //!
 //! [`DeltaArtifact`]: tasfar_nn::spec::DeltaArtifact
-//! [`predict_many_scratch`]: tasfar_nn::model::Regressor::predict_many_scratch
 
 pub mod engine;
 pub mod queue;

@@ -224,18 +224,6 @@ impl TenantRegistry {
         (handle, residency)
     }
 
-    /// [`TenantRegistry::artifact_handle`] in closure form: hands the
-    /// (rehydrated-if-needed) delta to `f` and returns `f`'s result with
-    /// the residency.
-    pub fn with_artifact<R>(
-        &self,
-        tenant: u64,
-        f: impl FnOnce(Option<&DeltaArtifact>) -> R,
-    ) -> (R, Residency) {
-        let (handle, residency) = self.artifact_handle(tenant);
-        (f(handle.as_deref()), residency)
-    }
-
     /// Evicts LRU residents until the shard fits its budget. `keep` (the
     /// tenant just touched) is evicted only if it alone exceeds the budget:
     /// the budget is a hard cap, so an oversized artifact is serialized
@@ -341,7 +329,7 @@ impl TenantRegistry {
     /// adapt path's warm-start read (off the hot path, so the clone is
     /// fine).
     pub fn clone_artifact(&self, tenant: u64) -> Option<DeltaArtifact> {
-        self.with_artifact(tenant, |a| a.cloned()).0
+        self.artifact_handle(tenant).0.as_deref().cloned()
     }
 }
 
@@ -407,11 +395,15 @@ mod tests {
         let reg = TenantRegistry::new(2, 1 << 20);
         let a = artifact(1);
         reg.register_cold(7, Arc::from(a.to_json().as_str()));
-        let ((), residency) = reg.with_artifact(7, |got| {
-            assert_eq!(got, Some(&a), "rehydrated artifact must equal the original");
-        });
+        let (got, residency) = reg.artifact_handle(7);
+        assert_eq!(
+            got.as_deref(),
+            Some(&a),
+            "rehydrated artifact must equal the original"
+        );
         assert_eq!(residency, Residency::Rehydrated);
-        let ((), residency) = reg.with_artifact(7, |got| assert!(got.is_some()));
+        let (got, residency) = reg.artifact_handle(7);
+        assert!(got.is_some());
         assert_eq!(residency, Residency::Resident, "second lookup is resident");
         let stats = reg.stats();
         assert_eq!(stats.rehydrations, 1);
@@ -422,7 +414,8 @@ mod tests {
     #[test]
     fn unknown_tenant_serves_source_only() {
         let reg = TenantRegistry::new(2, 1 << 20);
-        let ((), residency) = reg.with_artifact(99, |got| assert!(got.is_none()));
+        let (got, residency) = reg.artifact_handle(99);
+        assert!(got.is_none());
         assert_eq!(residency, Residency::SourceOnly);
     }
 
@@ -435,12 +428,13 @@ mod tests {
         reg.insert_resident(10, artifact(1));
         reg.insert_resident(20, artifact(2));
         // Touch 10 so 20 becomes the LRU, then push a third resident in.
-        reg.with_artifact(10, |_| ());
+        reg.artifact_handle(10);
         reg.insert_resident(30, artifact(3));
         let stats = reg.stats();
         assert_eq!(stats.resident_tenants, 2, "budget holds two residents");
         assert_eq!(stats.evictions, 1);
-        let (_, r20) = reg.with_artifact(20, |a| assert!(a.is_some()));
+        let (a20, r20) = reg.artifact_handle(20);
+        assert!(a20.is_some());
         assert_eq!(
             r20,
             Residency::Rehydrated,
@@ -481,8 +475,12 @@ mod tests {
         assert_eq!(stats.resident_bytes, 0);
         for t in 0..6 {
             let expect = artifact(t);
-            let (ok, residency) = reg.with_artifact(t, |a| a == Some(&expect));
-            assert!(ok, "storm-evicted artifact must rehydrate bit-identically");
+            let (got, residency) = reg.artifact_handle(t);
+            assert_eq!(
+                got.as_deref(),
+                Some(&expect),
+                "storm-evicted artifact must rehydrate bit-identically"
+            );
             assert_eq!(residency, Residency::Rehydrated);
         }
     }

@@ -7,9 +7,11 @@
 
 mod support;
 
+use std::sync::Arc;
+
 use tasfar_nn::prelude::*;
 use tasfar_serve::{
-    hash_tensor_bits, Completion, CompletionKind, ServeConfig, ServeWorker, ServedVia,
+    hash_tensor_bits, Completion, CompletionKind, ServeConfig, ServeRuntime, ServeWorker, ServedVia,
 };
 
 /// Adapts `tenant` on a batch centred at `centre` so it holds a real,
@@ -43,14 +45,11 @@ fn predict_outputs(completions: Vec<Completion>) -> Vec<(u64, Tensor, ServedVia)
         .collect()
 }
 
-#[test]
-fn fused_cross_tenant_batch_is_bit_identical_to_solo() {
-    let rt = support::runtime(ServeConfig {
-        shards: 4,
-        batch_window: 32,
-        ..ServeConfig::default()
-    });
-    let mut worker = rt.worker(42);
+/// The fused-vs-solo pin on one runtime: tenants 1 and 2 adapt, tenant 3
+/// never does; every request of a cross-tenant batch must hash equal to
+/// the same request served alone.
+fn assert_fused_batch_matches_solo(rt: &Arc<ServeRuntime>, worker_seed: u64) {
+    let mut worker = rt.worker(worker_seed);
     adapt_tenant(&mut worker, 1, -0.6);
     adapt_tenant(&mut worker, 2, 0.6);
     // Tenant 3 never adapted: served by the source model inside the batch.
@@ -108,81 +107,37 @@ fn fused_cross_tenant_batch_is_bit_identical_to_solo() {
     );
 }
 
-#[test]
-fn batchnorm_model_fused_batch_is_bit_identical_to_solo() {
-    let rt = support::runtime_batchnorm(ServeConfig {
+fn pin_config() -> ServeConfig {
+    ServeConfig {
         shards: 4,
         batch_window: 32,
         ..ServeConfig::default()
-    });
-    let mut worker = rt.worker(47);
-    assert!(
-        worker.is_segmented(),
-        "a Dense+BatchNorm model must take the segmented fused path — \
-         otherwise this pin only exercises the fallback"
-    );
-    adapt_tenant(&mut worker, 1, -0.5);
-    adapt_tenant(&mut worker, 2, 0.5);
+    }
+}
 
+#[test]
+fn fused_cross_tenant_batch_is_bit_identical_to_solo() {
+    assert_fused_batch_matches_solo(&support::runtime(pin_config()), 42);
+}
+
+#[test]
+fn batchnorm_model_fused_batch_is_bit_identical_to_solo() {
+    let rt = support::runtime_batchnorm(pin_config());
+    assert_fused_batch_matches_solo(&rt, 47);
     // The artifacts must carry a *moved* batch-norm affine (γ/β stay
-    // trainable under adapters), or the pin below never covers
-    // per-segment affine serving. Trainable order: d1 down/up, γ, β,
-    // d2 down/up.
+    // trainable under adapters), or the pin never covers per-segment
+    // affine serving. Trainable order: d1 down/up, γ, β, d2 down/up.
     let art = rt.registry().clone_artifact(1).expect("tenant 1 adapted");
     assert_eq!(art.shapes[2], (1, 24), "index 2 is batch-norm γ");
     assert!(
         art.values[2] != vec![1.0; 24] || art.values[3] != vec![0.0; 24],
         "adaptation must move the batch-norm affine off its source init"
     );
+}
 
-    let mut rng = Rng::new(10);
-    let requests: Vec<(u64, Tensor)> = vec![
-        (1, Tensor::rand_normal(2, 2, 0.0, 1.0, &mut rng)),
-        (2, Tensor::rand_normal(3, 2, 0.0, 1.0, &mut rng)),
-        (3, Tensor::rand_normal(1, 2, 0.0, 1.0, &mut rng)), // never adapted
-        (1, Tensor::rand_normal(1, 2, 0.0, 1.0, &mut rng)),
-    ];
-    let solo_hashes: Vec<u64> = requests
-        .iter()
-        .map(|(tenant, x)| {
-            let (out, _) = worker.serve_solo(*tenant, x);
-            let h = hash_tensor_bits(&out);
-            worker.recycle(out);
-            h
-        })
-        .collect();
-
-    for (tenant, x) in &requests {
-        rt.submit_predict(*tenant, x.clone()).unwrap();
-    }
-    let outs = predict_outputs(worker.process_next());
-    assert_eq!(outs.len(), requests.len());
-    for (i, (tenant, out, via)) in outs.iter().enumerate() {
-        assert_eq!(*tenant, requests[i].0);
-        assert_eq!(
-            hash_tensor_bits(out),
-            solo_hashes[i],
-            "request {i} (tenant {tenant}): fused prediction through the \
-             batch-norm affine must be bit-identical to solo serving"
-        );
-        let expect_via = if *tenant == 3 {
-            ServedVia::Source
-        } else {
-            ServedVia::Delta
-        };
-        assert_eq!(*via, expect_via);
-    }
-    // Tenant affines must change the served bits vs source, or the pin
-    // proves nothing.
-    let x = &requests[0].1;
-    let (src, _) = worker.serve_solo(3, x);
-    let (t1, _) = worker.serve_solo(1, x);
-    assert_ne!(
-        hash_tensor_bits(&src),
-        hash_tensor_bits(&t1),
-        "tenant 1's delta (incl. its batch-norm affine) must change its \
-         predictions"
-    );
+#[test]
+fn tcn_model_fused_batch_is_bit_identical_to_solo() {
+    assert_fused_batch_matches_solo(&support::runtime_tcn(pin_config()), 49);
 }
 
 #[test]
@@ -309,7 +264,6 @@ fn empty_window_flush_is_a_noop() {
 
 #[test]
 fn stale_cold_delta_degrades_to_source_serving() {
-    use std::sync::Arc;
     use tasfar_nn::adapter::{enable_adapters, AdapterConfig};
     use tasfar_nn::init::Init;
     use tasfar_nn::layers::{Dense, Relu, Sequential};

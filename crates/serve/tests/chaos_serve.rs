@@ -224,6 +224,7 @@ fn evict_storm_rehydrates_bit_identically_mid_batch() {
     );
     assert!(stats.rehydrations >= 2, "both deltas rehydrated mid-batch");
     // And the registry is healthy afterwards: next lookup is resident.
-    let (_, residency) = rt.registry().with_artifact(1, |a| assert!(a.is_some()));
+    let (handle, residency) = rt.registry().artifact_handle(1);
+    assert!(handle.is_some());
     assert_eq!(residency, Residency::Resident);
 }

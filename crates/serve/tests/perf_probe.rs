@@ -183,21 +183,4 @@ fn time_hot_path_components() {
         "restore(init):      {:>8.1} us/call",
         t0.elapsed().as_secs_f64() * 1e6 / n as f64
     );
-
-    let mut xs_owned: Vec<Tensor> = Vec::new();
-    for _ in 0..64 {
-        xs_owned.push(Tensor::rand_normal(1, 8, 0.0, 1.0, &mut rng));
-    }
-    let xs: Vec<&Tensor> = xs_owned.iter().collect();
-    let t0 = Instant::now();
-    for _ in 0..16 {
-        let outs = model.predict_many_scratch(&xs, &mut scratch);
-        for o in outs {
-            scratch.give(o);
-        }
-    }
-    println!(
-        "predict_many x64:   {:>8.1} us/call",
-        t0.elapsed().as_secs_f64() * 1e6 / 16.0
-    );
 }

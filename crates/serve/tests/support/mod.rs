@@ -8,7 +8,7 @@ use tasfar_core::session::TenantSession;
 use tasfar_data::Dataset;
 use tasfar_nn::adapter::AdapterConfig;
 use tasfar_nn::init::Init;
-use tasfar_nn::layers::{BatchNorm1d, Dense, Dropout, Relu, Sequential};
+use tasfar_nn::layers::{BatchNorm1d, Dense, Dropout, GlobalAvgPool1d, Relu, Sequential, TcnBlock};
 use tasfar_nn::loss::Mse;
 use tasfar_nn::optim::Adam;
 use tasfar_nn::prelude::*;
@@ -106,6 +106,22 @@ pub fn runtime_batchnorm(serve_cfg: ServeConfig) -> Arc<ServeRuntime> {
         .add(Relu::new())
         .add(Dropout::new(0.2, &mut rng))
         .add(Dense::new(24, 1, Init::XavierUniform, &mut rng));
+    finish_runtime(model, rng, serve_cfg)
+}
+
+/// [`runtime`] over a PDR-style TCN: the two input features are read as
+/// one channel × two time steps, so the same datasets fit. It has a
+/// downsampling block (1 → 4 channels), a same-width block, pooling over
+/// time and a Dense head, so tenant artifacts carry conv deltas on every
+/// conv, the residual downsample included.
+#[allow(dead_code)] // each integration suite compiles its own `support`
+pub fn runtime_tcn(serve_cfg: ServeConfig) -> Arc<ServeRuntime> {
+    let mut rng = Rng::new(13);
+    let model = Sequential::new()
+        .add(TcnBlock::new(1, 4, 3, 1, 2, 0.2, &mut rng))
+        .add(TcnBlock::new(4, 4, 3, 2, 2, 0.2, &mut rng))
+        .add(GlobalAvgPool1d::new(4, 2))
+        .add(Dense::new(4, 1, Init::XavierUniform, &mut rng));
     finish_runtime(model, rng, serve_cfg)
 }
 
