@@ -121,7 +121,7 @@ impl<M: SplitRegressor> DomainAdapter<M> for AdvAdapter {
                 let (_, g_logits) = bce_with_logits(&logits, &domain_labels);
                 discriminator.zero_grad();
                 let g_z_disc = discriminator.backward(&g_logits);
-                opt_disc.step(&mut discriminator.params_mut());
+                opt_disc.step(&mut discriminator);
 
                 // --- 2. feature/head step with reversed domain gradient --
                 // The discriminator just moved, but its gradient w.r.t. the
@@ -146,8 +146,8 @@ impl<M: SplitRegressor> DomainAdapter<M> for AdvAdapter {
                     }
                 }
                 features.backward(&g_z);
-                opt_feat.step(&mut features.params_mut());
-                opt_head.step(&mut head.params_mut());
+                opt_feat.step(&mut features);
+                opt_head.step(&mut head);
             }
         }
         rejoin(model, features, head);

@@ -111,7 +111,7 @@ impl<M: SplitRegressor> DomainAdapter<M> for AugfreeAdapter {
                 let pred = student.forward(&xb_aug, cfg.train_mode);
                 let grad = loss.grad(&pred, &yb, None);
                 student.backward(&grad);
-                opt.step(&mut student.params_mut());
+                opt.step(&mut student);
             }
         }
         model.restore_whole(student);

@@ -129,11 +129,9 @@ pub fn rejoin<M: SplitRegressor>(model: &mut M, features: M::Part, head: M::Part
 }
 
 /// Zeroes the accumulated gradients of any trainable [`Layer`] (model
-/// parts included), via its parameter list.
+/// parts included).
 pub fn zero_grad<L: Layer + ?Sized>(layer: &mut L) {
-    for p in layer.params_mut() {
-        p.zero_grad();
-    }
+    layer.visit_params(&mut |p| p.zero_grad());
 }
 
 /// Numerically stable logistic sigmoid.

@@ -229,7 +229,7 @@ impl<M: SplitRegressor> DomainAdapter<M> for DatafreeAdapter {
                 }
                 zero_grad(&mut features);
                 features.backward(&g_f);
-                opt.step(&mut features.params_mut());
+                opt.step(&mut features);
             }
         }
         rejoin(model, features, head);

@@ -189,8 +189,8 @@ impl<M: SplitRegressor> DomainAdapter<M> for MmdAdapter {
 
                 let g_z = Tensor::vstack(&[&g_fs, &g_ft]);
                 features.backward(&g_z);
-                opt_feat.step(&mut features.params_mut());
-                opt_head.step(&mut head.params_mut());
+                opt_feat.step(&mut features);
+                opt_head.step(&mut head);
             }
         }
         rejoin(model, features, head);

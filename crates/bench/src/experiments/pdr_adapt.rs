@@ -278,7 +278,7 @@ pub fn finetune_trace(
             epoch_weight += bw;
             let grad = Mse.grad(&pred, &yb, Some(&wb));
             model.backward(&grad);
-            opt.step(&mut model.params_mut());
+            opt.step(model);
         }
         losses.push(if epoch_weight > 0.0 {
             epoch_loss / epoch_weight

@@ -6,29 +6,33 @@
 //! — TASFAR, Sec. VI.
 //!
 //! The regression machinery transfers by treating the classifier's *logit
-//! vector* as a multi-dimensional regression target: per-logit density maps
-//! are estimated from the confident samples (capturing the scenario's class
-//! correlations — the "dark knowledge"), uncertain samples' logits are
-//! pseudo-labelled by posterior interpolation, and the softmax of the
-//! pseudo-logits becomes a **soft pseudo-label** for credibility-weighted
-//! cross-entropy fine-tuning.
+//! vector* as a multi-dimensional regression target, so the plugin is no
+//! separate adaptation loop — it is one loss handed to the guarded pipeline:
+//!
+//! ```text
+//! adapt_guarded(model, calib, target_x, &SoftCrossEntropy, cfg, policy)
+//! ```
+//!
+//! The pipeline's per-dimension path estimates one density map per logit
+//! from the confident samples (capturing the scenario's class correlations
+//! — the "dark knowledge"), pseudo-labels the uncertain samples' logits by
+//! posterior interpolation with credibilities combined by geometric mean,
+//! and fine-tunes on them plus the confident replay. [`SoftCrossEntropy`]
+//! softens both kinds of logit target inside the loss, so the softmax of a
+//! pseudo-logit row is the sample's **soft pseudo-label**
+//! (`softmax_rows` of the outcome's pseudo values). Running under
+//! [`crate::guard::adapt_guarded`] gives the plugin the do-no-harm
+//! contract: a poisoned or empty batch, or a diverging fine-tune, falls back
+//! to the source model bit for bit. (A two-class classifier goes through
+//! the joint 2-D map unless `joint_2d` is off.)
 //!
 //! As the paper predicts, TASFAR alone is "not expected to show advantages
 //! over those approaches in classification tasks" — the tests below verify
 //! the mechanism is sound and non-destructive, which is exactly the plugin
 //! contract.
 
-use crate::adapt::{scenario_classifier, SourceCalibration, TasfarConfig};
-use crate::calibration::QsCalibration;
-use crate::density::{DensityMap1d, GridSpec};
-use crate::pseudo::PseudoLabelGenerator1d;
-use crate::uncertainty::McDropout;
-use tasfar_nn::layers::Mode;
 use tasfar_nn::loss::Loss;
-use tasfar_nn::model::{StochasticRegressor, TrainableRegressor};
-use tasfar_nn::optim::Adam;
 use tasfar_nn::tensor::Tensor;
-use tasfar_nn::train::TrainConfig;
 
 /// Numerically stable row-wise softmax.
 pub fn softmax_rows(logits: &Tensor) -> Tensor {
@@ -49,8 +53,11 @@ pub fn softmax_rows(logits: &Tensor) -> Tensor {
 
 /// Soft-target cross-entropy over logits, with per-sample weights.
 ///
-/// `target` rows are probability vectors (soft labels); the gradient is the
-/// classic `softmax(pred) − target`, scaled per sample like the other
+/// Both `pred` and `target` rows are logits: the target is softened with
+/// [`softmax_rows`] into a probability vector (a soft label) inside the
+/// loss, so the pipeline can hand over pseudo-logits and confident-replay
+/// logits unchanged. The gradient is the classic
+/// `softmax(pred) − softmax(target)`, scaled per sample like the other
 /// losses in this workspace.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SoftCrossEntropy;
@@ -63,9 +70,10 @@ impl Loss for SoftCrossEntropy {
     fn per_sample(&self, pred: &Tensor, target: &Tensor) -> Vec<f64> {
         assert_eq!(pred.shape(), target.shape(), "soft_ce: shape mismatch");
         let probs = softmax_rows(pred);
+        let soft = softmax_rows(target);
         probs
             .iter_rows()
-            .zip(target.iter_rows())
+            .zip(soft.iter_rows())
             .map(|(p, t)| {
                 p.iter()
                     .zip(t)
@@ -87,7 +95,7 @@ impl Loss for SoftCrossEntropy {
                 w.iter().map(|&wi| wi / total).collect()
             }
         };
-        let mut g = softmax_rows(pred).sub(target);
+        let mut g = softmax_rows(pred).sub(&softmax_rows(target));
         for (row, &s) in g
             .as_mut_slice()
             .chunks_exact_mut(pred.cols().max(1))
@@ -101,136 +109,12 @@ impl Loss for SoftCrossEntropy {
     }
 }
 
-/// The classification-plugin outcome.
-#[derive(Debug)]
-pub struct SoftLabelOutcome {
-    /// Indices of the uncertain samples that received soft pseudo-labels.
-    pub uncertain: Vec<usize>,
-    /// Soft pseudo-labels (probability rows), aligned with `uncertain`.
-    pub soft_labels: Tensor,
-    /// Credibility weight per pseudo-labelled sample.
-    pub credibility: Vec<f64>,
-}
-
-/// Generates soft pseudo-labels for a classifier's uncertain target samples
-/// and fine-tunes it with credibility-weighted soft cross-entropy.
-///
-/// `calib` must have been produced by [`crate::adapt::calibrate_on_source`]
-/// against the *logit outputs* (i.e. the source dataset's `y` holding the
-/// one-hot/raw logit targets the classifier regresses to under its training
-/// loss).
-///
-/// Returns the soft-label products; `model` is fine-tuned in place.
-///
-/// # Panics
-/// Panics on an empty batch.
-pub fn adapt_classifier<M: StochasticRegressor + TrainableRegressor + ?Sized>(
-    model: &mut M,
-    calib: &SourceCalibration,
-    target_x: &Tensor,
-    cfg: &TasfarConfig,
-) -> SoftLabelOutcome {
-    assert!(target_x.rows() > 0, "adapt_classifier: empty target batch");
-    let mc = McDropout::new(cfg.mc_samples)
-        .relative(cfg.relative_uncertainty)
-        .predict(model, target_x);
-    let classifier = scenario_classifier(calib, cfg, &mc.uncertainty);
-    let split = classifier.split(&mc.uncertainty);
-    let k = mc.point.cols();
-
-    if split.confident.is_empty() || split.uncertain.is_empty() {
-        return SoftLabelOutcome {
-            uncertain: split.uncertain,
-            soft_labels: Tensor::zeros(0, k),
-            credibility: Vec::new(),
-        };
-    }
-
-    // Per-logit density maps from the confident samples (class correlation
-    // lives in the per-dimension logit distributions of the scenario).
-    let conf = mc.point.select_rows(&split.confident);
-    let sigma_of = |qs: &QsCalibration, std: f64| qs.sigma(std);
-    let maps: Vec<DensityMap1d> = (0..k)
-        .map(|d| {
-            let preds = conf.col(d);
-            let sigmas: Vec<f64> = split
-                .confident
-                .iter()
-                .map(|&i| sigma_of(&calib.qs[d], mc.std.get(i, d)))
-                .collect();
-            let grid = GridSpec::covering(&preds, cfg.grid_cell, 4);
-            DensityMap1d::estimate(&preds, &sigmas, grid, cfg.error_model)
-        })
-        .collect();
-
-    // Pseudo-label every uncertain sample's logits, then soften.
-    let mut pseudo_logits = Tensor::zeros(split.uncertain.len(), k);
-    let mut credibility = Vec::with_capacity(split.uncertain.len());
-    for (row, &i) in split.uncertain.iter().enumerate() {
-        let mut cred = 1.0;
-        for (d, map) in maps.iter().enumerate() {
-            let generator = PseudoLabelGenerator1d::new(map, classifier.tau, cfg.error_model);
-            let p = generator.generate(
-                mc.point.get(i, d),
-                sigma_of(&calib.qs[d], mc.std.get(i, d)),
-                mc.uncertainty[i].max(1e-12),
-            );
-            pseudo_logits.set(row, d, p.value[0]);
-            cred *= p.credibility.max(0.0);
-        }
-        credibility.push(cred.powf(1.0 / k as f64));
-    }
-    let soft_labels = softmax_rows(&pseudo_logits);
-
-    // Fine-tune: soft-CE on the pseudo-labelled uncertain samples plus
-    // self-labelled confident replay (the classifier's own soft outputs).
-    let n_unc = split.uncertain.len();
-    let mut rows: Vec<usize> = split.uncertain.clone();
-    rows.extend(&split.confident);
-    let conf_soft = softmax_rows(&conf);
-    let targets = Tensor::vstack(&[&soft_labels, &conf_soft]);
-    let mut weights = if cfg.use_credibility {
-        credibility.clone()
-    } else {
-        vec![1.0; n_unc]
-    };
-    weights.extend(vec![1.0; split.confident.len()]);
-
-    if weights.iter().sum::<f64>() > 0.0 {
-        let x_train = target_x.select_rows(&rows);
-        let mut opt = Adam::new(cfg.learning_rate);
-        let _ = model.fit_weighted(
-            &mut opt,
-            &SoftCrossEntropy,
-            &x_train,
-            &targets,
-            Some(&weights),
-            &TrainConfig {
-                epochs: cfg.epochs,
-                batch_size: cfg.batch_size,
-                seed: cfg.seed,
-                mode: if cfg.finetune_dropout {
-                    Mode::Train
-                } else {
-                    Mode::Eval
-                },
-                early_stop: cfg.early_stop.clone(),
-                ..TrainConfig::default()
-            },
-        );
-    }
-
-    SoftLabelOutcome {
-        uncertain: split.uncertain,
-        soft_labels,
-        credibility,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapt::calibrate_on_source;
+    use crate::adapt::{calibrate_on_source, TasfarConfig};
+    use crate::error::ErrorKind;
+    use crate::guard::{adapt_guarded, GuardedOutcome, RecoveryPolicy};
     use tasfar_data::Dataset;
     use tasfar_nn::prelude::*;
 
@@ -257,7 +141,8 @@ mod tests {
     #[test]
     fn soft_ce_gradient_matches_finite_differences() {
         let pred = Tensor::from_rows(&[vec![0.3, -0.7, 1.1], vec![2.0, 0.1, -0.4]]);
-        let target = Tensor::from_rows(&[vec![0.7, 0.2, 0.1], vec![0.1, 0.1, 0.8]]);
+        // Logit targets: the loss softens them itself.
+        let target = Tensor::from_rows(&[vec![1.2, -0.1, -0.8], vec![-1.0, -0.9, 1.3]]);
         let w = [1.0, 2.0];
         let loss = SoftCrossEntropy;
         let g = loss.grad(&pred, &target, Some(&w));
@@ -282,7 +167,8 @@ mod tests {
 
     /// A 3-class toy classifier with a target scenario whose class prior is
     /// skewed; the plugin should run end-to-end and not destroy accuracy
-    /// (the paper's stated expectation for TASFAR-alone on classification).
+    /// (the paper's stated expectation for TASFAR-alone on classification),
+    /// and a poisoned or empty batch must fall back to the source bits.
     #[test]
     fn plugin_is_sound_and_non_destructive() {
         let mut rng = Rng::new(21);
@@ -358,25 +244,75 @@ mod tests {
             correct as f64 / labels.len() as f64
         };
         let before = accuracy(&mut model);
-        let outcome = adapt_classifier(&mut model, &calib, &xt, &cfg);
+        let policy = RecoveryPolicy::default();
+        let outcome = adapt_guarded(&mut model, &calib, &xt, &SoftCrossEntropy, &cfg, &policy);
         let after = accuracy(&mut model);
 
+        let adapted = outcome
+            .adaptation()
+            .unwrap_or_else(|| panic!("the plugin should adapt: {}", outcome.label()));
         assert!(
-            !outcome.uncertain.is_empty(),
+            !adapted.split.uncertain.is_empty(),
             "uncertain samples should exist"
         );
-        // Soft labels are valid distributions.
-        for row in outcome.soft_labels.iter_rows() {
+        // Soft labels (the softmax of the pseudo-logits) are valid
+        // distributions.
+        let pseudo_logits: Vec<Vec<f64>> = adapted.pseudo.iter().map(|p| p.value.clone()).collect();
+        for row in softmax_rows(&Tensor::from_rows(&pseudo_logits)).iter_rows() {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
-        assert!(outcome
-            .credibility
+        assert!(adapted
+            .pseudo
             .iter()
-            .all(|&c| c >= 0.0 && c.is_finite()));
+            .all(|p| p.credibility >= 0.0 && p.credibility.is_finite()));
         // The paper's contract: the plugin must not destroy accuracy.
         assert!(
             after >= before - 0.03,
             "plugin degraded accuracy too much: {before:.3} → {after:.3}"
         );
+
+        // Do-no-harm: one NaN row poisons nothing — the guard falls back
+        // and predictions keep their bits.
+        let bits = |m: &mut Sequential| -> Vec<u64> {
+            m.predict(&xt)
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let reference = bits(&mut model);
+        let mut poisoned = xt.clone();
+        poisoned.set(7, 0, f64::NAN);
+        poisoned.set(7, 1, f64::NAN);
+        let outcome = adapt_guarded(
+            &mut model,
+            &calib,
+            &poisoned,
+            &SoftCrossEntropy,
+            &cfg,
+            &policy,
+        );
+        assert!(
+            matches!(
+                &outcome,
+                GuardedOutcome::FellBackToSource { error, .. }
+                    if matches!(error.kind, ErrorKind::NonFiniteInput { .. })
+            ),
+            "poisoned batch: {outcome:?}"
+        );
+        assert_eq!(bits(&mut model), reference, "fallback must keep the bits");
+
+        // An empty batch is a typed fallback, not a panic.
+        let empty = Tensor::zeros(0, 2);
+        let outcome = adapt_guarded(&mut model, &calib, &empty, &SoftCrossEntropy, &cfg, &policy);
+        assert!(
+            matches!(
+                &outcome,
+                GuardedOutcome::FellBackToSource { error, .. }
+                    if error.kind == ErrorKind::EmptyTargetBatch
+            ),
+            "empty batch: {outcome:?}"
+        );
+        assert_eq!(bits(&mut model), reference);
     }
 }

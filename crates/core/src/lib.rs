@@ -74,6 +74,19 @@
 //! (stage, cause, recoverability) instead of panicking; [`guard`] adds
 //! bounded retries and source-checkpoint rollback; [`faultinject`] provides
 //! the deterministic chaos hooks the robustness suite drives.
+//!
+//! ## Adapt entry points
+//!
+//! Every adaptation runs the one staged pipeline. [`adapt::adapt`] is its
+//! unguarded body; everything else goes through the do-no-harm guard:
+//! [`guard::adapt_guarded`] for one model,
+//! [`session::TenantSession::adapt_delta`] for one low-rank delta per
+//! tenant over a shared frozen source, and the [`stream`] engine's
+//! re-adapt on drift. The paper's Sec. VI extensions add no entry point of
+//! their own: the classification plugin ([`classification`]) is the
+//! [`classification::SoftCrossEntropy`] loss handed to `adapt_guarded`, and
+//! partitioned adaptation ([`partition`]) is a caller-side loop of
+//! `adapt_delta`, one group per tenant.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -103,7 +116,7 @@ pub mod prelude {
         adapt, calibrate_on_source, AdaptationOutcome, BuiltMaps, SourceCalibration, TasfarConfig,
     };
     pub use crate::calibration::{ErrorModel, QsCalibration};
-    pub use crate::classification::{adapt_classifier, softmax_rows, SoftCrossEntropy};
+    pub use crate::classification::{softmax_rows, SoftCrossEntropy};
     pub use crate::confidence::{ConfidenceClassifier, ConfidenceSplit};
     pub use crate::density::{DensityMap1d, DensityMap2d, GridSpec};
     pub use crate::diagnostics::AdaptationDiagnostics;
@@ -111,7 +124,7 @@ pub mod prelude {
     pub use crate::error::{AdaptError, ErrorKind};
     pub use crate::guard::{adapt_guarded, GuardedOutcome, RecoveryPolicy};
     pub use crate::metrics;
-    pub use crate::partition::{adapt_partitioned, group_by_key, PartitionedAdaptation};
+    pub use crate::partition::group_by_key;
     pub use crate::pipeline::{PipelineTrace, Stage, StageTrace};
     pub use crate::pseudo::{PseudoLabel, PseudoLabelGenerator1d, PseudoLabelGenerator2d};
     pub use crate::session::TenantSession;

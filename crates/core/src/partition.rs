@@ -8,320 +8,66 @@
 //! independently." — TASFAR, Sec. VI.
 //!
 //! The paper's Fig. 20 already demonstrates the effect for crowd scenes
-//! (partitioned adaptation beats fused adaptation); this module makes the
-//! pattern a first-class API: group the unlabeled target samples by a
-//! task-specific key (scene id, time of day, user id, …) and run the full
-//! TASFAR pipeline once per group, each group getting its own density map —
-//! and, by default, its own adapted model.
+//! (partitioned adaptation beats fused adaptation). A partition is a tenant
+//! by another name, so partitioned adaptation needs no loop of its own: the
+//! caller groups the unlabeled target rows by a task-specific key (scene id,
+//! time of day, user id, …) with [`group_by_key`] and runs one
+//! [`crate::session::TenantSession::adapt_delta`] per group against one
+//! shared frozen source model. Each group gets its own confidence split,
+//! density map, pseudo-labels and fine-tune, so one scenario's label
+//! distribution never corrupts another's (the paper's Fig. 20/22 failure
+//! mode); each keeps only a low-rank [`tasfar_nn::spec::DeltaArtifact`]
+//! instead of a full model clone; and each runs under the do-no-harm guard,
+//! so a group that fails — an empty one included — ends
+//! `FellBackToSource` with no artifact and serves the source bits. Groups
+//! are predicted through the serving path,
+//! [`tasfar_nn::layers::Sequential::predict_segmented_scratch`]:
+//!
+//! ```no_run
+//! use tasfar_core::prelude::*;
+//! use tasfar_nn::adapter::AdapterConfig;
+//! use tasfar_nn::layers::SegmentSpan;
+//! use tasfar_nn::prelude::*;
+//!
+//! # fn inputs() -> (Sequential, SourceCalibration, Tensor, Vec<usize>) { unimplemented!() }
+//! let (source, calib, x, keys) = inputs();
+//! let session = TenantSession::new(calib, TasfarConfig::default(), AdapterConfig::rank(8));
+//! let mut rng = Rng::new(0);
+//! let (mut shared, init) = session.prepare_shared(&source, &mut rng);
+//! for (g, rows) in group_by_key(&keys).iter().enumerate() {
+//!     let xg = x.select_rows(rows);
+//!     let (outcome, art) =
+//!         session.adapt_delta(&mut shared, &init, g as u64, None, &xg, &Mse, &mut rng);
+//!     let span = SegmentSpan { rows: rows.len(), delta: art.as_ref() };
+//!     let pred = shared.predict_segmented_scratch(&xg, &[span], &mut Scratch::new());
+//!     println!("group {g}: {} → {:?}", outcome.label(), pred.shape());
+//! }
+//! ```
 
-use crate::adapt::{adapt, AdaptationOutcome, SourceCalibration, TasfarConfig};
-use crate::error::{AdaptError, ErrorKind};
-use tasfar_nn::adapter::AdapterConfig;
-use tasfar_nn::adapter::{delta_footprint, enable_adapters, export_deltas, import_deltas};
-use tasfar_nn::layers::{Layer, Sequential};
-use tasfar_nn::loss::Loss;
-use tasfar_nn::model::{CheckpointRegressor, Regressor, StochasticRegressor, TrainableRegressor};
-use tasfar_nn::rng::Rng;
-use tasfar_nn::tensor::Tensor;
-
-/// The result of a partitioned adaptation, generic over the regressor type.
-pub struct PartitionedAdaptation<M> {
-    /// One model per group, in group order: adapted where its group's run
-    /// succeeded, an untouched source copy where it failed.
-    pub models: Vec<M>,
-    /// The per-group adaptation results. A failed group keeps its typed
-    /// [`AdaptError`]; its model stays the unadapted source copy, so one
-    /// degenerate partition never poisons the others.
-    pub outcomes: Vec<Result<AdaptationOutcome, AdaptError>>,
-    /// The group key of every input row, as passed in.
-    pub group_of_row: Vec<usize>,
-}
-
-impl<M: Regressor> PartitionedAdaptation<M> {
-    /// Number of groups.
-    pub fn num_groups(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Predicts each row with its group's model, reassembled in input order.
-    pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(
-            x.rows(),
-            self.group_of_row.len(),
-            "PartitionedAdaptation::predict: expected {} rows",
-            self.group_of_row.len()
-        );
-        let dims = {
-            let probe = self.models[0].predict(&x.slice_rows(0, 1.min(x.rows())));
-            probe.cols()
-        };
-        let mut out = Tensor::zeros(x.rows(), dims);
-        for g in 0..self.models.len() {
-            let rows: Vec<usize> = self
-                .group_of_row
-                .iter()
-                .enumerate()
-                .filter(|(_, &gg)| gg == g)
-                .map(|(i, _)| i)
-                .collect();
-            if rows.is_empty() {
-                continue;
-            }
-            let pred = self.models[g].predict(&x.select_rows(&rows));
-            for (k, &i) in rows.iter().enumerate() {
-                for d in 0..dims {
-                    out.set(i, d, pred.get(k, d));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Groups row indices by an integer key.
-///
-/// # Panics
-/// Panics if `keys` is empty.
+/// Groups row indices by a dense, 0-based integer key: group `k` lists, in
+/// ascending order, the rows whose key is `k`. A key below the maximum that
+/// no row carries yields an empty group; no keys yield no groups.
 pub fn group_by_key(keys: &[usize]) -> Vec<Vec<usize>> {
-    assert!(!keys.is_empty(), "group_by_key: no keys");
-    let max = *keys.iter().max().unwrap();
-    let mut groups = vec![Vec::new(); max + 1];
+    let len = keys.iter().max().map_or(0, |&max| max + 1);
+    let mut groups = vec![Vec::new(); len];
     for (i, &k) in keys.iter().enumerate() {
         groups[k].push(i);
     }
     groups
 }
 
-/// Runs TASFAR independently on each partition of the target batch.
-///
-/// `keys[i]` is the (dense, 0-based) group of row `i`; empty groups are
-/// allowed and yield an unadapted model copy with an
-/// [`ErrorKind::EmptyTargetBatch`] outcome. Each group's adaptation is
-/// fully independent — its own confidence split, density map, pseudo-labels,
-/// and fine-tune — so one scenario's label distribution never corrupts
-/// another's (the paper's Fig. 20/22 failure mode), and a group whose run
-/// fails keeps a fresh, unadapted source copy (per-group do-no-harm).
-///
-/// # Panics
-/// Panics if `keys.len() != target_x.rows()` or the batch is empty.
-pub fn adapt_partitioned<M>(
-    source_model: &M,
-    calib: &SourceCalibration,
-    target_x: &Tensor,
-    keys: &[usize],
-    loss: &dyn Loss,
-    cfg: &TasfarConfig,
-) -> PartitionedAdaptation<M>
-where
-    M: StochasticRegressor + TrainableRegressor + Clone,
-{
-    assert_eq!(
-        keys.len(),
-        target_x.rows(),
-        "adapt_partitioned: {} keys for {} rows",
-        keys.len(),
-        target_x.rows()
-    );
-    let groups = group_by_key(keys);
-    let mut models = Vec::with_capacity(groups.len());
-    let mut outcomes = Vec::with_capacity(groups.len());
-    for rows in &groups {
-        let mut model = source_model.clone();
-        if rows.is_empty() {
-            // Preserve group indexing: the typed error a zero-row adapt
-            // call would report, with the model left as the source copy.
-            models.push(model);
-            outcomes.push(Err(AdaptError::new(ErrorKind::EmptyTargetBatch)));
-            continue;
-        }
-        let xg = target_x.select_rows(rows);
-        let outcome = adapt(&mut model, calib, &xg, loss, cfg);
-        if outcome.is_err() {
-            // Per-group do-no-harm: a failed fine-tune may have touched the
-            // clone's weights — replace it with a fresh source copy.
-            model = source_model.clone();
-        }
-        models.push(model);
-        outcomes.push(outcome);
-    }
-    PartitionedAdaptation {
-        models,
-        outcomes,
-        group_of_row: keys.to_vec(),
-    }
-}
-
-/// A partitioned adaptation that keeps **one** frozen source model and gives
-/// each group only a low-rank adapter delta.
-///
-/// [`adapt_partitioned`] clones the full source model per group — correct,
-/// but the per-group resident cost is the whole parameter set. On a phone
-/// fleet (the paper's pedestrian-dead-reckoning deployment) the natural unit
-/// of partitioning is the *user*, and thousands of full clones do not fit.
-/// This variant attaches zero-initialised adapters
-/// ([`tasfar_nn::adapter`], `W_eff = W + (α/r)·down·up`) to one shared copy
-/// of the source model; each group's fine-tune then only moves its own
-/// factor pair, so per-group state shrinks to O(rank·dim) floats.
-pub struct SharedDeltaAdaptation {
-    /// The single shared model: frozen source weights with adapters
-    /// attached, parked on the zero delta between calls. Use
-    /// [`Self::predict`] / [`Self::predict_group`] rather than calling it
-    /// directly — whichever delta was imported last is resident.
-    pub model: Sequential,
-    /// Per-group adapter factors, in group order. Failed and empty groups
-    /// keep the zero-initialised delta, i.e. bit-identical source
-    /// behaviour (per-group do-no-harm, same contract as
-    /// [`adapt_partitioned`]).
-    pub deltas: Vec<Vec<Tensor>>,
-    /// Resident bytes of each group's delta payload (factor scalars × 8).
-    pub delta_bytes: Vec<u64>,
-    /// The per-group adaptation results, as in [`PartitionedAdaptation`].
-    pub outcomes: Vec<Result<AdaptationOutcome, AdaptError>>,
-    /// The group key of every input row, as passed in.
-    pub group_of_row: Vec<usize>,
-}
-
-impl SharedDeltaAdaptation {
-    /// Number of groups.
-    pub fn num_groups(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// Bytes of the shared frozen model (base parameters + running state),
-    /// i.e. the one-off cost every group amortises.
-    pub fn shared_model_bytes(&mut self) -> u64 {
-        let mut scalars = 0usize;
-        self.model
-            .visit_base_params(&mut |p| scalars += p.value.as_slice().len());
-        self.model.visit_state(&mut |s| scalars += s.len());
-        (scalars * std::mem::size_of::<f64>()) as u64
-    }
-
-    /// Predicts `x` under group `g`'s delta (imports it into the shared
-    /// model first).
-    pub fn predict_group(&mut self, g: usize, x: &Tensor) -> Tensor {
-        import_deltas(&mut self.model, &self.deltas[g]);
-        self.model.predict(x)
-    }
-
-    /// Predicts each row with its group's delta, reassembled in input order.
-    pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(
-            x.rows(),
-            self.group_of_row.len(),
-            "SharedDeltaAdaptation::predict: expected {} rows",
-            self.group_of_row.len()
-        );
-        let dims = self
-            .predict_group(0, &x.slice_rows(0, 1.min(x.rows())))
-            .cols();
-        let mut out = Tensor::zeros(x.rows(), dims);
-        for g in 0..self.num_groups() {
-            let rows: Vec<usize> = self
-                .group_of_row
-                .iter()
-                .enumerate()
-                .filter(|(_, &gg)| gg == g)
-                .map(|(i, _)| i)
-                .collect();
-            if rows.is_empty() {
-                continue;
-            }
-            let pred = self.predict_group(g, &x.select_rows(&rows));
-            for (k, &i) in rows.iter().enumerate() {
-                for d in 0..dims {
-                    out.set(i, d, pred.get(k, d));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Runs TASFAR per partition against one shared frozen source model,
-/// producing a KB-scale delta per group instead of a full model clone.
-///
-/// Each group starts from the same delta-only checkpoint (zero adapter
-/// factors and source running state, restored via
-/// [`tasfar_nn::model::SeqCheckpoint`]), adapts in the rank-`adapter_cfg`
-/// subspace, and exports its factors. A failed or empty group keeps the
-/// zero delta — its predictions stay bit-identical to the source model.
-/// Unlike [`adapt_partitioned`], the groups share one dropout RNG stream
-/// (each full clone would carry its own copy), so per-group runs here are
-/// sequenced rather than replayed from identical RNG state.
-///
-/// # Panics
-/// Panics if `keys.len() != target_x.rows()`, the batch is empty, or the
-/// model has no adapter-capable layer.
-#[allow(clippy::too_many_arguments)]
-pub fn adapt_partitioned_shared(
-    source_model: &Sequential,
-    calib: &SourceCalibration,
-    target_x: &Tensor,
-    keys: &[usize],
-    loss: &dyn Loss,
-    cfg: &TasfarConfig,
-    adapter_cfg: &AdapterConfig,
-    rng: &mut Rng,
-) -> SharedDeltaAdaptation {
-    assert_eq!(
-        keys.len(),
-        target_x.rows(),
-        "adapt_partitioned_shared: {} keys for {} rows",
-        keys.len(),
-        target_x.rows()
-    );
-    let groups = group_by_key(keys);
-    let mut model = source_model.clone();
-    let attached = enable_adapters(&mut model, adapter_cfg, rng);
-    assert!(
-        attached > 0,
-        "adapt_partitioned_shared: the source model has no adapter-capable layers"
-    );
-    let init = model.checkpoint();
-    debug_assert!(init.is_delta());
-    let (_, bytes_per_group) = delta_footprint(&mut model);
-    let zero_delta = export_deltas(&mut model);
-
-    let mut deltas = Vec::with_capacity(groups.len());
-    let mut delta_bytes = Vec::with_capacity(groups.len());
-    let mut outcomes = Vec::with_capacity(groups.len());
-    for rows in &groups {
-        // Delta-only rollback: zero factors + source running state.
-        model.restore(&init);
-        delta_bytes.push(bytes_per_group);
-        if rows.is_empty() {
-            deltas.push(zero_delta.clone());
-            outcomes.push(Err(AdaptError::new(ErrorKind::EmptyTargetBatch)));
-            continue;
-        }
-        let xg = target_x.select_rows(rows);
-        let outcome = adapt(&mut model, calib, &xg, loss, cfg);
-        deltas.push(if outcome.is_ok() {
-            export_deltas(&mut model)
-        } else {
-            zero_delta.clone()
-        });
-        outcomes.push(outcome);
-    }
-    // Park the shared model on the source state so the first
-    // `predict_group` composes its delta onto clean running moments.
-    model.restore(&init);
-    SharedDeltaAdaptation {
-        model,
-        deltas,
-        delta_bytes,
-        outcomes,
-        group_of_row: keys.to_vec(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapt::calibrate_on_source;
+    use crate::adapt::{calibrate_on_source, SourceCalibration, TasfarConfig};
+    use crate::error::ErrorKind;
+    use crate::guard::GuardedOutcome;
+    use crate::session::TenantSession;
     use tasfar_data::Dataset;
+    use tasfar_nn::adapter::AdapterConfig;
+    use tasfar_nn::layers::SegmentSpan;
     use tasfar_nn::prelude::*;
+    use tasfar_nn::spec::DeltaArtifact;
 
     /// Source: y = x₀ with hard samples. Two target scenarios with label
     /// clusters at opposite ends — fused adaptation sees a bimodal prior
@@ -418,10 +164,82 @@ mod tests {
         (model, calib, xt, yt, keys, cfg)
     }
 
+    /// The caller-side partition loop: one guarded delta adapt per group
+    /// against one shared source model. Rank 8 clamps to each layer's
+    /// `min(rows, cols)`, a full-rank update on every layer of the toy.
+    struct Parted {
+        shared: Sequential,
+        groups: Vec<Vec<usize>>,
+        outcomes: Vec<GuardedOutcome>,
+        arts: Vec<Option<DeltaArtifact>>,
+    }
+
+    fn adapt_groups(
+        model: &Sequential,
+        calib: &SourceCalibration,
+        cfg: &TasfarConfig,
+        xt: &Tensor,
+        keys: &[usize],
+    ) -> Parted {
+        let session = TenantSession::new(calib.clone(), cfg.clone(), AdapterConfig::rank(8));
+        let mut rng = Rng::new(77);
+        let (mut shared, init) = session.prepare_shared(model, &mut rng);
+        let groups = group_by_key(keys);
+        let (outcomes, arts) = groups
+            .iter()
+            .enumerate()
+            .map(|(g, rows)| {
+                let xg = xt.select_rows(rows);
+                session.adapt_delta(&mut shared, &init, g as u64, None, &xg, &Mse, &mut rng)
+            })
+            .unzip();
+        Parted {
+            shared,
+            groups,
+            outcomes,
+            arts,
+        }
+    }
+
+    impl Parted {
+        /// Group `g`'s predictions for `x`, through the serving path.
+        fn predict_group(&mut self, g: usize, x: &Tensor) -> Tensor {
+            let span = SegmentSpan {
+                rows: x.rows(),
+                delta: self.arts[g].as_ref(),
+            };
+            self.shared
+                .predict_segmented_scratch(x, &[span], &mut Scratch::new())
+        }
+
+        /// MSE over every row, each predicted by its own group.
+        fn mse(&mut self, xt: &Tensor, yt: &Tensor) -> f64 {
+            let mut preds = Vec::new();
+            let mut targets = Vec::new();
+            for (g, rows) in self.groups.clone().iter().enumerate() {
+                preds.push(self.predict_group(g, &xt.select_rows(rows)));
+                targets.push(yt.select_rows(rows));
+            }
+            crate::metrics::mse(
+                &Tensor::vstack(&preds.iter().collect::<Vec<_>>()),
+                &Tensor::vstack(&targets.iter().collect::<Vec<_>>()),
+            )
+        }
+    }
+
+    fn empty_batch(outcome: &GuardedOutcome) -> bool {
+        matches!(
+            outcome,
+            GuardedOutcome::FellBackToSource { error, .. }
+                if error.kind == ErrorKind::EmptyTargetBatch
+        )
+    }
+
     #[test]
     fn group_by_key_partitions_exactly() {
         let groups = group_by_key(&[0, 2, 0, 1]);
         assert_eq!(groups, vec![vec![0, 2], vec![3], vec![1]]);
+        assert!(group_by_key(&[]).is_empty());
     }
 
     #[test]
@@ -430,13 +248,13 @@ mod tests {
 
         // Fused: one adaptation over the mixed batch.
         let mut fused = model.clone();
-        let _ = adapt(&mut fused, &calib, &xt, &Mse, &cfg).unwrap();
+        let _ = crate::adapt::adapt(&mut fused, &calib, &xt, &Mse, &cfg).unwrap();
         let fused_mse = crate::metrics::mse(&fused.predict(&xt), &yt);
 
         // Partitioned.
-        let mut parted = adapt_partitioned(&model, &calib, &xt, &keys, &Mse, &cfg);
-        assert_eq!(parted.num_groups(), 2);
-        let part_mse = crate::metrics::mse(&parted.predict(&xt), &yt);
+        let mut parted = adapt_groups(&model, &calib, &cfg, &xt, &keys);
+        assert_eq!(parted.groups.len(), 2);
+        let part_mse = parted.mse(&xt, &yt);
 
         let mut baseline = model.clone();
         let base_mse = crate::metrics::mse(&baseline.predict(&xt), &yt);
@@ -454,13 +272,13 @@ mod tests {
     #[test]
     fn per_group_models_differ() {
         let (model, calib, xt, _, keys, cfg) = setup();
-        let mut parted = adapt_partitioned(&model, &calib, &xt, &keys, &Mse, &cfg);
+        let mut parted = adapt_groups(&model, &calib, &cfg, &xt, &keys);
         let probe = Tensor::from_vec(1, 2, vec![0.0, 4.0]); // a "hard" input
-        let p0 = parted.models[0].predict(&probe).get(0, 0);
-        let p1 = parted.models[1].predict(&probe).get(0, 0);
+        let p0 = parted.predict_group(0, &probe).get(0, 0);
+        let p1 = parted.predict_group(1, &probe).get(0, 0);
         assert!(
             (p0 - p1).abs() > 0.1,
-            "group models should pull toward their own clusters: {p0:.3} vs {p1:.3}"
+            "group deltas should pull toward their own clusters: {p0:.3} vs {p1:.3}"
         );
         assert!(p0 < p1, "group 0 clusters at −0.6, group 1 at +0.6");
     }
@@ -470,52 +288,32 @@ mod tests {
         let (model, calib, xt, _, _, cfg) = setup();
         // Every row in group 2; groups 0 and 1 empty.
         let keys = vec![2usize; xt.rows()];
-        let parted = adapt_partitioned(&model, &calib, &xt, &keys, &Mse, &cfg);
-        assert_eq!(parted.num_groups(), 3);
+        let parted = adapt_groups(&model, &calib, &cfg, &xt, &keys);
+        assert_eq!(parted.groups.len(), 3);
         for g in 0..2 {
-            let err = parted.outcomes[g].as_ref().unwrap_err();
-            assert_eq!(err.kind, ErrorKind::EmptyTargetBatch);
+            assert!(empty_batch(&parted.outcomes[g]), "{:?}", parted.outcomes[g]);
+            assert!(parted.arts[g].is_none());
         }
-        assert!(parted.outcomes[2].is_ok());
+        assert!(!parted.outcomes[2].fell_back());
+        assert!(parted.arts[2].is_some());
     }
 
     #[test]
     fn shared_delta_variant_specialises_per_group_with_small_state() {
-        let (model, calib, xt, yt, keys, cfg) = setup();
-        let mut rng = Rng::new(77);
-        let mut shared = adapt_partitioned_shared(
-            &model,
-            &calib,
-            &xt,
-            &keys,
-            &Mse,
-            &cfg,
-            &AdapterConfig::rank(8),
-            &mut rng,
-        );
-        assert_eq!(shared.num_groups(), 2);
-        assert!(shared.outcomes.iter().all(|o| o.is_ok()));
-
-        let shared_mse = crate::metrics::mse(&shared.predict(&xt), &yt);
-        let mut baseline = model.clone();
-        let base_mse = crate::metrics::mse(&baseline.predict(&xt), &yt);
-        assert!(
-            shared_mse < base_mse,
-            "rank-constrained partitioned adaptation should still beat the \
-             baseline: {shared_mse:.4} vs {base_mse:.4}"
-        );
-
-        // The groups pull toward their own label clusters through nothing
-        // but their delta factors.
-        let probe = Tensor::from_vec(1, 2, vec![0.0, 4.0]);
-        let p0 = shared.predict_group(0, &probe).get(0, 0);
-        let p1 = shared.predict_group(1, &probe).get(0, 0);
-        assert!(p0 < p1, "group 0 clusters at −0.6, group 1 at +0.6");
-
+        let (model, calib, xt, _, keys, cfg) = setup();
+        let parted = adapt_groups(&model, &calib, &cfg, &xt, &keys);
+        assert!(parted.outcomes.iter().all(|o| !o.fell_back()));
         // Per-group state is a delta, strictly smaller than a full clone.
-        let full = shared.shared_model_bytes();
-        for &b in &shared.delta_bytes {
-            assert!(b > 0 && b < full, "delta {b} B vs full clone {full} B");
+        let full = model.clone().num_parameters() * std::mem::size_of::<f64>();
+        for art in &parted.arts {
+            let bytes = art
+                .as_ref()
+                .expect("adapted groups keep a delta")
+                .payload_bytes();
+            assert!(
+                bytes > 0 && bytes < full,
+                "delta {bytes} B vs full clone {full} B"
+            );
         }
     }
 
@@ -526,39 +324,15 @@ mod tests {
         let source_pred = source.predict(&xt);
         // Every row in group 1; group 0 empty.
         let keys = vec![1usize; xt.rows()];
-        let mut rng = Rng::new(78);
-        let mut shared = adapt_partitioned_shared(
-            &model,
-            &calib,
-            &xt,
-            &keys,
-            &Mse,
-            &cfg,
-            &AdapterConfig::rank(4),
-            &mut rng,
-        );
-        let err = shared.outcomes[0].as_ref().unwrap_err();
-        assert_eq!(err.kind, ErrorKind::EmptyTargetBatch);
-        assert!(shared.outcomes[1].is_ok());
-        // The empty group's zero delta composes to the source bit pattern.
-        let p = shared.predict_group(0, &xt);
+        let mut parted = adapt_groups(&model, &calib, &cfg, &xt, &keys);
+        assert!(empty_batch(&parted.outcomes[0]));
+        assert!(!parted.outcomes[1].fell_back());
+        // The empty group has no delta: it serves the source bit pattern.
+        let bits = |t: &Tensor| -> Vec<u64> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
         assert_eq!(
-            p.as_slice(),
-            source_pred.as_slice(),
-            "zero delta must reproduce source predictions bitwise"
+            bits(&parted.predict_group(0, &xt)),
+            bits(&source_pred),
+            "an empty group must reproduce source predictions bitwise"
         );
-    }
-
-    #[test]
-    fn predict_reassembles_in_input_order() {
-        let (model, calib, xt, _, keys, cfg) = setup();
-        let mut parted = adapt_partitioned(&model, &calib, &xt, &keys, &Mse, &cfg);
-        let joint = parted.predict(&xt);
-        // Row i must equal the group model's individual prediction.
-        for i in [0usize, 1, 7, 100] {
-            let g = keys[i];
-            let solo = parted.models[g].predict(&xt.select_rows(&[i]));
-            assert_eq!(joint.get(i, 0), solo.get(0, 0));
-        }
     }
 }

@@ -1,8 +1,6 @@
 //! Per-tenant adaptation sessions over one shared frozen source model.
 //!
-//! The serving-runtime counterpart of [`crate::partition`]: where
-//! `adapt_partitioned_shared` adapts a fixed set of groups in one offline
-//! sweep, a [`TenantSession`] owns the *recipe* (source calibration, TASFAR
+//! A [`TenantSession`] owns the *recipe* (source calibration, TASFAR
 //! config, adapter config, recovery policy) and applies it to one tenant at
 //! a time, on demand, against a shared model the caller keeps parked on the
 //! source state between tenants:
@@ -16,6 +14,10 @@
 //!    can't poison the shared model — the guard rolls back to the warm
 //!    start), exports the refreshed delta, and re-parks the model on the
 //!    source state.
+//!
+//! A tenant is any group of target rows: the serving runtime adapts one
+//! per user, and partitioned adaptation ([`crate::partition`]) one per
+//! scene or other task-specific key.
 //!
 //! A stale prior (captured under a different architecture or rank) is
 //! dropped — the tenant adapts from the zero delta instead — rather than

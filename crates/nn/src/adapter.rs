@@ -13,17 +13,17 @@
 //!   the instant an adapter is attached the model's predictions are
 //!   unchanged; all adaptation then lives in the `O(r·(rows+cols))` factors.
 //! * [`AdapterConfig`] — rank `r` and scaling `α` (scale = `α/r`).
-//! * [`AdapterMode`] / `TASFAR_ADAPTER` — process-wide opt-in
-//!   (`off` or `rank:<r>`), mirroring `TASFAR_BACKEND`: lazily read once,
-//!   overridable via [`set_adapter_mode`], re-readable via
-//!   [`reset_adapter_mode`].
+//! * [`enable_adapters`] — attaches adapters to a model. Nothing attaches
+//!   them implicitly: a binary that offers an adapter switch parses it
+//!   itself and calls this.
 //!
 //! Once attached, the adapted layers *freeze their base weights*: they
-//! expose only the delta factors through [`crate::layers::Layer::visit_params`]
-//! / `params_mut`, so the optimizer, `zero_grad`, checkpointing, and the
-//! per-group state in partitioned adaptation all shrink to the delta
-//! footprint without any trainer changes. The base weights stay reachable
-//! through [`crate::layers::Layer::visit_base_params`] for serialization.
+//! expose only the delta factors through
+//! [`crate::layers::Layer::visit_params`], so the optimizer, `zero_grad`,
+//! checkpointing, and the per-tenant (or per-group)
+//! [`crate::spec::DeltaArtifact`] all shrink to the delta footprint without
+//! any trainer changes. The base weights stay reachable through
+//! [`crate::layers::Layer::visit_base_params`] for serialization.
 //!
 //! All adapter arithmetic routes through the process-wide compute backend
 //! ([`crate::backend`]) — the factor products are plain GEMMs — so both
@@ -32,7 +32,7 @@
 use crate::layers::{Layer, Param};
 use crate::rng::Rng;
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration for attaching low-rank adapters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,87 +111,6 @@ impl DeltaParams {
     }
 }
 
-/// Process-wide adapter opt-in, mirroring [`crate::backend::BackendKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdapterMode {
-    /// No adapters: every code path is the pre-adapter one, bit-identical.
-    Off,
-    /// Attach rank-`r` adapters wherever [`enable_adapters_from_env`] runs.
-    Rank(usize),
-}
-
-impl AdapterMode {
-    /// Parses a `TASFAR_ADAPTER` value (trimmed, case-insensitive):
-    /// `off` or `rank:<r>` with `r ≥ 1`.
-    pub fn from_name(s: &str) -> Option<AdapterMode> {
-        let s = s.trim().to_ascii_lowercase();
-        if s == "off" {
-            return Some(AdapterMode::Off);
-        }
-        if let Some(r) = s.strip_prefix("rank:") {
-            return r
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&r| r > 0)
-                .map(AdapterMode::Rank);
-        }
-        None
-    }
-
-    /// The `TASFAR_ADAPTER` spelling of this mode.
-    pub fn name(self) -> String {
-        match self {
-            AdapterMode::Off => "off".to_string(),
-            AdapterMode::Rank(r) => format!("rank:{r}"),
-        }
-    }
-}
-
-/// Active adapter mode; 0 = uninitialised, 1 = off, `r + 2` = rank `r`.
-static MODE: AtomicUsize = AtomicUsize::new(0);
-
-fn code_of(mode: AdapterMode) -> usize {
-    match mode {
-        AdapterMode::Off => 1,
-        AdapterMode::Rank(r) => r + 2,
-    }
-}
-
-/// The currently selected adapter mode.
-///
-/// Resolution order: a prior [`set_adapter_mode`] call, else `TASFAR_ADAPTER`
-/// (parsed with [`AdapterMode::from_name`]; unknown values fall through),
-/// else [`AdapterMode::Off`]. The environment is read once and cached;
-/// [`reset_adapter_mode`] forces a re-read.
-pub fn active_mode() -> AdapterMode {
-    match MODE.load(Ordering::Relaxed) {
-        0 => {
-            let mode = std::env::var("TASFAR_ADAPTER")
-                .ok()
-                .and_then(|s| AdapterMode::from_name(&s))
-                .unwrap_or(AdapterMode::Off);
-            // Racing initialisers compute the same value; plain store is fine.
-            MODE.store(code_of(mode), Ordering::Relaxed);
-            mode
-        }
-        1 => AdapterMode::Off,
-        c => AdapterMode::Rank(c - 2),
-    }
-}
-
-/// Overrides the adapter mode for subsequent [`enable_adapters_from_env`]
-/// calls. Intended for tests, benchmarks, and embedders.
-pub fn set_adapter_mode(mode: AdapterMode) {
-    MODE.store(code_of(mode), Ordering::Relaxed);
-}
-
-/// Drops any [`set_adapter_mode`] override and re-reads `TASFAR_ADAPTER` on
-/// the next [`active_mode`] call.
-pub fn reset_adapter_mode() {
-    MODE.store(0, Ordering::Relaxed);
-}
-
 static GAUGE_RANK: AtomicU64 = AtomicU64::new(0);
 static GAUGE_LAYERS: AtomicU64 = AtomicU64::new(0);
 static GAUGE_PARAMS: AtomicU64 = AtomicU64::new(0);
@@ -246,16 +165,6 @@ pub fn enable_adapters(model: &mut dyn Layer, cfg: &AdapterConfig, rng: &mut Rng
     layers
 }
 
-/// [`enable_adapters`] driven by the process-wide [`active_mode`]: a no-op
-/// returning 0 when the mode is `Off`, a rank-`r` attach when `Rank(r)`.
-/// This is the single hook binaries call to honour `TASFAR_ADAPTER`.
-pub fn enable_adapters_from_env(model: &mut dyn Layer, rng: &mut Rng) -> usize {
-    match active_mode() {
-        AdapterMode::Off => 0,
-        AdapterMode::Rank(r) => enable_adapters(model, &AdapterConfig::rank(r), rng),
-    }
-}
-
 /// The trainable-state footprint of `model` once adapters are attached:
 /// `(scalar count, bytes)` over everything `visit_params` yields (delta
 /// factors plus any still-trainable params). Returns `(0, 0)` when no
@@ -267,51 +176,6 @@ pub fn delta_footprint(model: &mut dyn Layer) -> (u64, u64) {
     let mut params = 0u64;
     model.visit_params(&mut |p| params += p.value.len() as u64);
     (params, params * std::mem::size_of::<f64>() as u64)
-}
-
-/// Clones the current trainable state of an adapted model — the per-user
-/// delta — as a vector of tensors in `visit_params` order.
-///
-/// Panics if no adapters are attached (exporting full weights through this
-/// API would silently defeat its purpose).
-pub fn export_deltas(model: &mut dyn Layer) -> Vec<Tensor> {
-    assert!(
-        model.adapted_layers() > 0,
-        "export_deltas: model has no adapters attached"
-    );
-    let mut out = Vec::new();
-    model.visit_params(&mut |p| out.push(p.value.clone()));
-    out
-}
-
-/// Writes a previously [`export_deltas`]-ed state back into an adapted
-/// model, in place (no allocation when shapes match, which they must).
-///
-/// Panics on count or shape mismatch, or if no adapters are attached.
-pub fn import_deltas(model: &mut dyn Layer, deltas: &[Tensor]) {
-    assert!(
-        model.adapted_layers() > 0,
-        "import_deltas: model has no adapters attached"
-    );
-    let mut i = 0usize;
-    model.visit_params(&mut |p| {
-        assert!(
-            i < deltas.len(),
-            "import_deltas: model exposes more trainable params than the delta holds"
-        );
-        assert_eq!(
-            p.value.shape(),
-            deltas[i].shape(),
-            "import_deltas: shape mismatch at param {i}"
-        );
-        p.value.copy_from(&deltas[i]);
-        i += 1;
-    });
-    assert_eq!(
-        i,
-        deltas.len(),
-        "import_deltas: delta holds more params than the model exposes"
-    );
 }
 
 #[cfg(test)]
@@ -327,33 +191,6 @@ mod tests {
             .add(Relu::new())
             .add(Dropout::new(0.2, &mut rng))
             .add(Dense::new(16, 1, Init::XavierUniform, &mut rng))
-    }
-
-    #[test]
-    fn mode_parsing_round_trips() {
-        assert_eq!(AdapterMode::from_name("off"), Some(AdapterMode::Off));
-        assert_eq!(AdapterMode::from_name(" OFF "), Some(AdapterMode::Off));
-        assert_eq!(AdapterMode::from_name("rank:4"), Some(AdapterMode::Rank(4)));
-        assert_eq!(
-            AdapterMode::from_name("RANK: 16 "),
-            Some(AdapterMode::Rank(16))
-        );
-        assert_eq!(AdapterMode::from_name("rank:0"), None);
-        assert_eq!(AdapterMode::from_name("rank:"), None);
-        assert_eq!(AdapterMode::from_name("lora"), None);
-        for mode in [AdapterMode::Off, AdapterMode::Rank(7)] {
-            assert_eq!(AdapterMode::from_name(&mode.name()), Some(mode));
-        }
-    }
-
-    #[test]
-    fn set_and_reset_mode() {
-        let before = active_mode();
-        set_adapter_mode(AdapterMode::Rank(3));
-        assert_eq!(active_mode(), AdapterMode::Rank(3));
-        set_adapter_mode(AdapterMode::Off);
-        assert_eq!(active_mode(), AdapterMode::Off);
-        set_adapter_mode(before);
     }
 
     #[test]
@@ -391,52 +228,6 @@ mod tests {
         assert_eq!(model.adapted_layers(), 0);
         assert_eq!(model.num_parameters(), full);
         assert_eq!(delta_footprint(&mut model), (0, 0));
-    }
-
-    #[test]
-    fn export_import_round_trips_bitwise() {
-        let mut model = toy_model(21);
-        let mut rng = Rng::new(22);
-        enable_adapters(&mut model, &AdapterConfig::rank(4), &mut rng);
-        // Perturb the delta so there is something non-zero to round-trip.
-        model.visit_params(&mut |p| {
-            let noise = Tensor::rand_normal(p.value.rows(), p.value.cols(), 0.0, 0.1, &mut rng);
-            p.value.add_assign(&noise);
-        });
-        let x = Tensor::rand_normal(6, 3, 0.0, 1.0, &mut rng);
-        let saved = export_deltas(&mut model);
-        let reference = model.forward(&x, Mode::Eval);
-        // Scramble, then restore.
-        model.visit_params(&mut |p| p.value.scale_assign(-3.5));
-        assert_ne!(
-            model.forward(&x, Mode::Eval).as_slice(),
-            reference.as_slice()
-        );
-        import_deltas(&mut model, &saved);
-        assert_eq!(
-            model.forward(&x, Mode::Eval).as_slice(),
-            reference.as_slice(),
-            "import must restore predictions bit-identically"
-        );
-    }
-
-    #[test]
-    fn enable_from_env_honours_mode() {
-        let before = active_mode();
-        let mut rng = Rng::new(1);
-        set_adapter_mode(AdapterMode::Off);
-        let mut model = toy_model(1);
-        assert_eq!(enable_adapters_from_env(&mut model, &mut rng), 0);
-        assert_eq!(model.adapted_layers(), 0);
-        set_adapter_mode(AdapterMode::Rank(4));
-        assert_eq!(enable_adapters_from_env(&mut model, &mut rng), 2);
-        assert_eq!(model.adapted_layers(), 2);
-        let s = stats();
-        assert_eq!(s.rank, 4);
-        assert_eq!(s.layers, 2);
-        assert_eq!(s.bytes, s.params * 8);
-        assert!(s.params > 0);
-        set_adapter_mode(before);
     }
 
     #[test]

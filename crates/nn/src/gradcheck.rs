@@ -21,6 +21,22 @@ pub struct GradCheckReport {
     pub checked: usize,
 }
 
+/// Rewrites entry `ei` of trainable parameter `pi` (in
+/// [`Layer::visit_params`] order) to `f(old)` and returns the old value.
+fn update_entry(model: &mut Sequential, pi: usize, ei: usize, f: &dyn Fn(f64) -> f64) -> f64 {
+    let mut old = f64::NAN;
+    let mut index = 0usize;
+    model.visit_params(&mut |p| {
+        if index == pi {
+            let v = &mut p.value.as_mut_slice()[ei];
+            old = *v;
+            *v = f(old);
+        }
+        index += 1;
+    });
+    old
+}
+
 /// Compares analytic parameter gradients against central finite differences.
 ///
 /// Returns `Err` with a diagnostic if any entry's relative difference
@@ -62,7 +78,8 @@ pub fn check_gradients(
     let pred = model.forward(x, mode);
     let grad = loss.grad(&pred, y, None);
     model.backward(&grad);
-    let analytic: Vec<Tensor> = model.params_mut().iter().map(|p| p.grad.clone()).collect();
+    let mut analytic: Vec<Tensor> = Vec::new();
+    model.visit_params(&mut |p| analytic.push(p.grad.clone()));
 
     let mut report = GradCheckReport {
         max_abs_diff: 0.0,
@@ -75,30 +92,16 @@ pub fn check_gradients(
     // correspondingly looser match when falling back to them at kinks.
     let side_tol = (tol * 100.0).max(1e-3);
 
-    let n_params = analytic.len();
-    for pi in 0..n_params {
-        let n_entries = analytic[pi].len();
-        for ei in 0..n_entries {
+    for (pi, grad) in analytic.iter().enumerate() {
+        for (ei, &ana) in grad.as_slice().iter().enumerate() {
             // Perturb parameter `pi` entry `ei` in both directions.
-            let original = {
-                let mut params = model.params_mut();
-                let v = params[pi].value.as_slice()[ei];
-                params[pi].value.as_mut_slice()[ei] = v + eps;
-                v
-            };
+            let original = update_entry(model, pi, ei, &|v| v + eps);
             let loss_plus = loss.value(&model.forward(x, mode), y, None);
-            {
-                let mut params = model.params_mut();
-                params[pi].value.as_mut_slice()[ei] = original - eps;
-            }
+            update_entry(model, pi, ei, &|_| original - eps);
             let loss_minus = loss.value(&model.forward(x, mode), y, None);
-            {
-                let mut params = model.params_mut();
-                params[pi].value.as_mut_slice()[ei] = original;
-            }
+            update_entry(model, pi, ei, &|_| original);
 
             let numeric = (loss_plus - loss_minus) / (2.0 * eps);
-            let ana = analytic[pi].as_slice()[ei];
             let abs_diff = (numeric - ana).abs();
             let mut rel_diff = abs_diff / numeric.abs().max(ana.abs()).max(1e-8);
             if rel_diff > tol {

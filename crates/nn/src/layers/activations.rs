@@ -4,7 +4,7 @@
 //! ReLU-family, the output for tanh/sigmoid where the derivative is cheaper
 //! to express in terms of the output).
 
-use super::{Layer, McContext, Mode, Param};
+use super::{Layer, McContext, Mode};
 use crate::scratch::Scratch;
 use crate::tensor::Tensor;
 
@@ -64,10 +64,6 @@ impl Layer for Relu {
         let mut out = scratch.take(grad_output.rows(), grad_output.cols());
         grad_output.zip_map_into(input, |g, x| if x > 0.0 { g } else { 0.0 }, &mut out);
         out
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 
     fn name(&self) -> &'static str {

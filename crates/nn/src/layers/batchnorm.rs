@@ -265,10 +265,6 @@ impl Layer for BatchNorm1d {
         out
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.gamma);
         f(&mut self.beta);

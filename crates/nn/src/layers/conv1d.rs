@@ -279,13 +279,6 @@ impl Layer for Conv1d {
         grad_input
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        match &mut self.delta {
-            Some(d) => vec![&mut d.down, &mut d.up],
-            None => vec![&mut self.weight, &mut self.bias],
-        }
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         match &mut self.delta {
             Some(d) => {

@@ -15,7 +15,7 @@ use crate::tensor::Tensor;
 /// May optionally carry a low-rank delta adapter ([`crate::adapter`]):
 /// with a delta attached, the layer computes
 /// `y = x · W + b + scale · (x · down) · up`, freezes `W` and `b` (they
-/// drop out of [`Layer::params_mut`] / [`Layer::visit_params`]), and trains
+/// drop out of [`Layer::visit_params`]), and trains
 /// only the factors. With no delta, every code path below is byte-for-byte
 /// the pre-adapter one.
 #[derive(Clone)]
@@ -245,13 +245,6 @@ impl Layer for Dense {
         dx
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        match &mut self.delta {
-            Some(d) => vec![&mut d.down, &mut d.up],
-            None => vec![&mut self.weight, &mut self.bias],
-        }
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         match &mut self.delta {
             Some(d) => {
@@ -347,9 +340,7 @@ mod tests {
         let _ = d.forward(&x, Mode::Train);
         let _ = d.backward(&g);
         assert_eq!(d.bias.grad.as_slice()[0], 2.0 * first.as_slice()[0]);
-        for p in d.params_mut() {
-            p.zero_grad();
-        }
+        d.visit_params(&mut |p| p.zero_grad());
         assert_eq!(d.bias.grad.sum(), 0.0);
     }
 

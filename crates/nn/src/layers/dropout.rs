@@ -7,7 +7,7 @@
 //! standard deviation of the predictions as the model uncertainty, following
 //! Gal & Ghahramani's MC-dropout interpretation.
 
-use super::{Layer, McContext, Mode, Param};
+use super::{Layer, McContext, Mode};
 use crate::rng::Rng;
 use crate::scratch::Scratch;
 use crate::tensor::Tensor;
@@ -114,20 +114,12 @@ impl Layer for Dropout {
         out
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
     fn name(&self) -> &'static str {
         "Dropout"
     }
 
     fn output_dim(&self, input_dim: usize) -> usize {
         input_dim
-    }
-
-    fn dropout_rngs_mut(&mut self) -> Vec<&mut Rng> {
-        vec![&mut self.rng]
     }
 
     fn visit_dropout_rngs(&mut self, f: &mut dyn FnMut(&mut Rng)) {

@@ -155,7 +155,7 @@ pub struct SegmentedContext<'a> {
 /// * `forward` must be called before `backward`, with the same batch;
 /// * `backward` receives `∂L/∂output` and returns `∂L/∂input`, adding
 ///   parameter gradients into each [`Param::grad`];
-/// * `params_mut` exposes trainable parameters in a stable order (the
+/// * `visit_params` walks trainable parameters in a stable order (the
 ///   optimizer keys its per-parameter state by position).
 pub trait Layer: Send + Sync {
     /// Computes the layer output for a `(batch, features)` input.
@@ -194,7 +194,11 @@ pub trait Layer: Send + Sync {
     /// row-independent); layers owning dropout RNGs must override.
     fn forward_mc(&mut self, input: &Tensor, ctx: &mut McContext, scratch: &mut Scratch) -> Tensor {
         debug_assert!(
-            self.dropout_rngs_mut().is_empty(),
+            {
+                let mut rngs = 0usize;
+                self.visit_dropout_rngs(&mut |_| rngs += 1);
+                rngs == 0
+            },
             "{}: layers with dropout state must override forward_mc",
             self.name()
         );
@@ -229,12 +233,6 @@ pub trait Layer: Send + Sync {
         frozen_segmented_forward(self, input, ctx, scratch)
     }
 
-    /// Trainable parameters, in a stable order. Parameter-free layers return
-    /// an empty vector.
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
     /// A short human-readable layer name for debug output.
     fn name(&self) -> &'static str;
 
@@ -255,33 +253,22 @@ pub trait Layer: Send + Sync {
         None
     }
 
-    /// Mutable access to every dropout PRNG reachable from this layer, in a
-    /// stable (definition) order. Containers recurse; everything else
-    /// returns the default empty vector.
+    /// Visits every trainable parameter in a stable order (the optimizer
+    /// keys its per-parameter state by position). Parameter-free layers use
+    /// the default no-op; containers override to recurse.
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        let _ = f;
+    }
+
+    /// Visits every dropout PRNG reachable from this layer, in a stable
+    /// (definition) order. Layers without dropout state use the default
+    /// no-op; containers override to recurse.
     ///
     /// This is what lets MC-dropout pre-split one independent stream per
     /// stochastic pass and run the passes in parallel with bit-identical
     /// results (see `tasfar-core`'s `McDropout`).
-    fn dropout_rngs_mut(&mut self) -> Vec<&mut crate::rng::Rng> {
-        Vec::new()
-    }
-
-    /// Visits every trainable parameter in the same stable order as
-    /// [`Layer::params_mut`], without allocating the intermediate vector.
-    /// Containers override to recurse.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for p in self.params_mut() {
-            f(p);
-        }
-    }
-
-    /// Visits every dropout PRNG in the same stable order as
-    /// [`Layer::dropout_rngs_mut`], without allocating the intermediate
-    /// vector. Containers override to recurse.
     fn visit_dropout_rngs(&mut self, f: &mut dyn FnMut(&mut Rng)) {
-        for rng in self.dropout_rngs_mut() {
-            f(rng);
-        }
+        let _ = f;
     }
 
     /// Visits every *base* parameter — the layer's full weight set,

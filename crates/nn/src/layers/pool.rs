@@ -1,6 +1,6 @@
 //! Pooling over the time axis of channels-major packed rows.
 
-use super::{Layer, Mode, Param};
+use super::{Layer, Mode};
 use crate::scratch::Scratch;
 use crate::tensor::Tensor;
 
@@ -79,10 +79,6 @@ impl Layer for GlobalAvgPool1d {
             }
         }
         grad_input
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 
     fn name(&self) -> &'static str {

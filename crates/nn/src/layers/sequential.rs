@@ -151,7 +151,9 @@ impl Sequential {
 
     /// Total number of scalar parameters.
     pub fn num_parameters(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.value.len()).sum()
+        let mut n = 0;
+        self.visit_params(&mut |p| n += p.value.len());
+        n
     }
 
     /// Copies all parameter values from `other` (shapes must match).
@@ -159,21 +161,21 @@ impl Sequential {
     /// # Panics
     /// Panics if the two chains have different parameter structures.
     pub fn load_params_from(&mut self, other: &mut Sequential) {
-        let src: Vec<Tensor> = other.params_mut().iter().map(|p| p.value.clone()).collect();
-        let dst = self.params_mut();
-        assert_eq!(
-            dst.len(),
-            src.len(),
-            "load_params_from: parameter count mismatch"
-        );
-        for (d, s) in dst.into_iter().zip(src) {
+        let mut src = Vec::new();
+        other.visit_params(&mut |p| src.push(p.value.clone()));
+        let mut dst = 0usize;
+        self.visit_params(&mut |_| dst += 1);
+        assert_eq!(dst, src.len(), "load_params_from: parameter count mismatch");
+        let mut src = src.into_iter();
+        self.visit_params(&mut |d| {
+            let s = src.next().expect("counted above");
             assert_eq!(
                 d.value.shape(),
                 s.shape(),
                 "load_params_from: shape mismatch"
             );
             d.value = s;
-        }
+        });
     }
 }
 
@@ -247,13 +249,6 @@ impl Layer for Sequential {
         x
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
@@ -313,13 +308,6 @@ impl Layer for Sequential {
         self.layers.iter().find_map(|l| l.input_dim())
     }
 
-    fn dropout_rngs_mut(&mut self) -> Vec<&mut crate::rng::Rng> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.dropout_rngs_mut())
-            .collect()
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -366,12 +354,11 @@ mod tests {
         let x = Tensor::rand_normal(4, 3, 0.0, 1.0, &mut rng);
         let _ = m.forward(&x, Mode::Train);
         let _ = m.backward(&Tensor::full(4, 2, 1.0));
-        let has_grad = m.params_mut().iter().any(|p| p.grad.frobenius_norm() > 0.0);
+        let mut has_grad = false;
+        m.visit_params(&mut |p| has_grad |= p.grad.frobenius_norm() > 0.0);
         assert!(has_grad);
         m.zero_grad();
-        for p in m.params_mut() {
-            assert_eq!(p.grad.sum(), 0.0);
-        }
+        m.visit_params(&mut |p| assert_eq!(p.grad.sum(), 0.0));
     }
 
     #[test]
@@ -415,8 +402,8 @@ mod tests {
         let mut rng = Rng::new(6);
         let mut a = tiny_mlp(&mut rng);
         let mut b = a.clone();
-        // Perturb a's first parameter; b must be unaffected.
-        a.params_mut()[0].value.scale_assign(2.0);
+        // Perturb a's parameters; b must be unaffected.
+        a.visit_params(&mut |p| p.value.scale_assign(2.0));
         let x = Tensor::rand_normal(1, 3, 0.0, 1.0, &mut rng);
         assert_ne!(a.forward(&x, Mode::Eval), b.forward(&x, Mode::Eval));
     }

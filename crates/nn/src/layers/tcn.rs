@@ -141,7 +141,7 @@ impl Layer for TcnBlock {
 
     fn forward_mc(&mut self, input: &Tensor, ctx: &mut McContext, scratch: &mut Scratch) -> Tensor {
         // The dropout layers are visited in definition order (drop1, drop2),
-        // matching `dropout_rngs_mut`, so each consumes its own pre-split
+        // matching `visit_dropout_rngs`, so each consumes its own pre-split
         // streams.
         self.forward_with(input, scratch, &mut |l, x, s| l.forward_mc(x, ctx, s))
     }
@@ -157,15 +157,6 @@ impl Layer for TcnBlock {
         self.forward_with(input, scratch, &mut |l, x, s| {
             l.forward_segmented(x, ctx, s)
         })
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut ps = self.conv1.params_mut();
-        ps.extend(self.conv2.params_mut());
-        if let Some(down) = &mut self.downsample {
-            ps.extend(down.params_mut());
-        }
-        ps
     }
 
     fn name(&self) -> &'static str {
@@ -185,12 +176,6 @@ impl Layer for TcnBlock {
 
     fn input_dim(&self) -> Option<usize> {
         Some(self.in_ch * self.time_len)
-    }
-
-    fn dropout_rngs_mut(&mut self) -> Vec<&mut Rng> {
-        let mut rngs = self.drop1.dropout_rngs_mut();
-        rngs.extend(self.drop2.dropout_rngs_mut());
-        rngs
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -265,14 +250,18 @@ mod tests {
         assert!(block.downsample.is_none());
         // 2 convs × 2 params each (no downsample).
         let mut block = block;
-        assert_eq!(block.params_mut().len(), 4);
+        let mut n = 0;
+        block.visit_params(&mut |_| n += 1);
+        assert_eq!(n, 4);
     }
 
     #[test]
     fn channel_change_adds_downsample_params() {
         let mut rng = Rng::new(3);
         let mut block = TcnBlock::new(2, 4, 3, 1, 8, 0.0, &mut rng);
-        assert_eq!(block.params_mut().len(), 6);
+        let mut n = 0;
+        block.visit_params(&mut |_| n += 1);
+        assert_eq!(n, 6);
     }
 
     #[test]

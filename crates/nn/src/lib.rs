@@ -12,7 +12,7 @@
 //! * [`tensor::Tensor`] — dense row-major `(batch, features)` matrices.
 //! * [`adapter`] — LoRA-style low-rank delta adapters over frozen source
 //!   weights (`W_eff = W + (α/r)·down·up`), the KB-scale per-user adaptation
-//!   state (`TASFAR_ADAPTER=off|rank:<r>`).
+//!   state (attached explicitly with `enable_adapters`).
 //! * [`backend`] — pluggable CPU compute backends behind the GEMM-family and
 //!   `Conv1d` kernels: the reference `CpuNaive` and the cache-blocked,
 //!   panel-packed `CpuBlocked` (bit-identical, selected via
@@ -92,10 +92,7 @@ pub use error::TrainError;
 
 /// One-stop imports for model building and training.
 pub mod prelude {
-    pub use crate::adapter::{
-        enable_adapters, enable_adapters_from_env, set_adapter_mode, AdapterConfig, AdapterMode,
-        DeltaParams,
-    };
+    pub use crate::adapter::{enable_adapters, AdapterConfig, DeltaParams};
     pub use crate::backend::{
         set_backend, Backend, BackendKind, CpuBlocked, CpuNaive, TilingScheme,
     };

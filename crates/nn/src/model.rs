@@ -192,18 +192,18 @@ impl StochasticRegressor for Sequential {
         // order on this thread.
         let streams: Vec<Vec<Rng>> = (0..samples)
             .map(|_| {
-                self.dropout_rngs_mut()
-                    .into_iter()
-                    .map(|rng| rng.split())
-                    .collect()
+                let mut pass = Vec::new();
+                self.visit_dropout_rngs(&mut |rng| pass.push(rng.split()));
+                pass
             })
             .collect();
         let proto = self.clone();
         crate::parallel::map_chunks(samples, |t| {
             let mut pass_model = proto.clone();
-            for (rng, stream) in pass_model.dropout_rngs_mut().into_iter().zip(&streams[t]) {
-                *rng = stream.clone();
-            }
+            let mut stream = streams[t].iter();
+            pass_model.visit_dropout_rngs(&mut |rng| {
+                *rng = stream.next().expect("one stream per dropout RNG").clone();
+            });
             pass_model.forward(x, Mode::StochasticEval)
         })
     }
@@ -543,7 +543,8 @@ impl TrainableRegressor for FnRegressor {
                     self.bias.grad.set(0, d, acc);
                 }
             }
-            optimizer.step(&mut [&mut self.bias]);
+            optimizer.begin_step(1);
+            optimizer.step_param(0, &mut self.bias);
         }
         Ok(report)
     }

@@ -1,33 +1,35 @@
 //! First-order optimizers.
 //!
 //! Optimizers key their per-parameter state (momentum buffers, Adam moments)
-//! by parameter *position*, which is stable because [`crate::layers::Layer::params_mut`]
-//! guarantees a fixed ordering. Passing the parameters of a different model
-//! to an already-initialised optimizer is a bug and is caught by a shape
-//! assertion.
+//! by parameter *position*, which is stable because
+//! [`crate::layers::Layer::visit_params`] walks in a fixed order. Passing the
+//! parameters of a different model to an already-initialised optimizer is a
+//! bug and is caught by a shape assertion.
 
-use crate::layers::Param;
+use crate::layers::{Layer, Param};
 use crate::tensor::Tensor;
 
 /// A gradient-based parameter updater.
 pub trait Optimizer: Send {
-    /// Applies one update step using the accumulated gradients.
-    ///
-    /// Equivalent to [`begin_step`](Optimizer::begin_step) followed by one
-    /// [`step_param`](Optimizer::step_param) per parameter, in order — which
-    /// is also the allocation-free way to drive the optimizer when the
-    /// parameters are reached through a visitor instead of a collected slice.
-    fn step(&mut self, params: &mut [&mut Param]) {
-        self.begin_step(params.len());
-        for (i, p) in params.iter_mut().enumerate() {
-            self.step_param(i, p);
-        }
+    /// Applies one update step to every trainable parameter of `model`,
+    /// using the accumulated gradients: [`begin_step`](Optimizer::begin_step)
+    /// followed by one [`step_param`](Optimizer::step_param) per parameter,
+    /// in [`Layer::visit_params`] order. Allocation-free.
+    fn step(&mut self, model: &mut dyn Layer) {
+        let mut count = 0usize;
+        model.visit_params(&mut |_| count += 1);
+        self.begin_step(count);
+        let mut index = 0usize;
+        model.visit_params(&mut |p| {
+            self.step_param(index, p);
+            index += 1;
+        });
     }
 
     /// Opens an update step over `n` parameters: validates the model binding
     /// and advances any per-step state (e.g. Adam's time step). Follow with
     /// exactly one [`step_param`](Optimizer::step_param) call per parameter,
-    /// in the stable `params_mut` order.
+    /// in the stable `visit_params` order.
     fn begin_step(&mut self, n: usize);
 
     /// Updates the parameter at position `index` within the step opened by
@@ -241,13 +243,21 @@ mod tests {
         Param::new(Tensor::from_vec(1, 1, vec![x0]))
     }
 
+    /// One update over a bare parameter list, in list order.
+    fn step(opt: &mut dyn Optimizer, params: &mut [&mut Param]) {
+        opt.begin_step(params.len());
+        for (i, p) in params.iter_mut().enumerate() {
+            opt.step_param(i, p);
+        }
+    }
+
     /// One step of plain SGD on f(x) = x² moves x by −lr·2x.
     #[test]
     fn sgd_single_step() {
         let mut p = quadratic_param(3.0);
         p.grad = Tensor::from_vec(1, 1, vec![6.0]);
         let mut opt = Sgd::new(0.1);
-        opt.step(&mut [&mut p]);
+        step(&mut opt, &mut [&mut p]);
         assert!((p.value.get(0, 0) - 2.4).abs() < 1e-12);
     }
 
@@ -262,7 +272,7 @@ mod tests {
             let x = p.value.get(0, 0);
             p.zero_grad();
             p.grad.set(0, 0, 2.0 * x);
-            opt.step(&mut [&mut p]);
+            step(&mut opt, &mut [&mut p]);
         }
         assert!(p.value.get(0, 0).abs() < 1e-6);
     }
@@ -277,8 +287,8 @@ mod tests {
         for _ in 0..5 {
             plain.grad = Tensor::from_vec(1, 1, vec![1.0]);
             with_mom.grad = Tensor::from_vec(1, 1, vec![1.0]);
-            opt_plain.step(&mut [&mut plain]);
-            opt_mom.step(&mut [&mut with_mom]);
+            step(&mut opt_plain, &mut [&mut plain]);
+            step(&mut opt_mom, &mut [&mut with_mom]);
         }
         assert!(
             with_mom.value.get(0, 0) < plain.value.get(0, 0),
@@ -291,7 +301,7 @@ mod tests {
         let mut p = quadratic_param(1.0);
         // Zero gradient: only the decay acts.
         let mut opt = Sgd::with_options(0.1, 0.0, 0.5);
-        opt.step(&mut [&mut p]);
+        step(&mut opt, &mut [&mut p]);
         assert!((p.value.get(0, 0) - 0.95).abs() < 1e-12);
     }
 
@@ -302,7 +312,7 @@ mod tests {
             let mut p = quadratic_param(0.0);
             p.grad = Tensor::from_vec(1, 1, vec![scale]);
             let mut opt = Adam::new(0.01);
-            opt.step(&mut [&mut p]);
+            step(&mut opt, &mut [&mut p]);
             assert!(
                 (p.value.get(0, 0).abs() - 0.01).abs() < 1e-6,
                 "step size for grad scale {scale} was {}",
@@ -319,7 +329,7 @@ mod tests {
             let x = p.value.get(0, 0);
             p.zero_grad();
             p.grad.set(0, 0, 2.0 * x);
-            opt.step(&mut [&mut p]);
+            step(&mut opt, &mut [&mut p]);
         }
         assert!(p.value.get(0, 0).abs() < 1e-3);
     }
@@ -338,7 +348,7 @@ mod tests {
         let mut a = quadratic_param(0.0);
         let mut b = quadratic_param(0.0);
         let mut opt = Sgd::with_options(0.1, 0.5, 0.0);
-        opt.step(&mut [&mut a]);
-        opt.step(&mut [&mut a, &mut b]);
+        step(&mut opt, &mut [&mut a]);
+        step(&mut opt, &mut [&mut a, &mut b]);
     }
 }

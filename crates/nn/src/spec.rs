@@ -733,7 +733,7 @@ mod tests {
         let spec = demo_spec();
         let mut model = spec.build(&mut rng);
         // Perturb so the restored weights are non-trivial.
-        model.params_mut()[0].value.scale_assign(1.7);
+        model.visit_params(&mut |p| p.value.scale_assign(1.7));
 
         let saved = SavedModel::capture(&spec, &mut model);
         let json = saved.to_json();

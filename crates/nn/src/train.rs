@@ -275,16 +275,7 @@ pub fn train_step(
     let dx = model.backward_scratch(&grad, scratch);
     scratch.give(grad);
     scratch.give(dx);
-    // Drive the optimizer through the visitor instead of collecting
-    // `params_mut()` into a Vec; the visit order is the same stable order.
-    let mut count = 0usize;
-    model.visit_params(&mut |_| count += 1);
-    optimizer.begin_step(count);
-    let mut index = 0usize;
-    model.visit_params(&mut |p| {
-        optimizer.step_param(index, p);
-        index += 1;
-    });
+    optimizer.step(model);
     Ok(batch_loss)
 }
 

@@ -129,11 +129,8 @@ fn conv_layers_bits_match_across_backends() {
             let x = Tensor::rand_normal(7, 3 * 16, 0.0, 1.0, &mut rng);
             let y = conv.forward(&x, Mode::Train);
             let dx = conv.backward(&Tensor::full(7, 5 * 16, 0.25));
-            let grads: Vec<Tensor> = conv
-                .params_mut()
-                .into_iter()
-                .map(|p| p.grad.clone())
-                .collect();
+            let mut grads: Vec<Tensor> = Vec::new();
+            conv.visit_params(&mut |p| grads.push(p.grad.clone()));
             (y, dx, grads)
         };
         backend::set_backend(BackendKind::Naive);

@@ -70,7 +70,8 @@ fn tcn_forward_backward_is_thread_count_invariant() {
         let mut model = proto.clone();
         let y = model.forward(&x, Mode::Train);
         let dx = model.backward(&g);
-        let grads: Vec<Vec<u64>> = model.params_mut().iter().map(|p| bits(&p.grad)).collect();
+        let mut grads: Vec<Vec<u64>> = Vec::new();
+        model.visit_params(&mut |p| grads.push(bits(&p.grad)));
         (bits(&y), bits(&dx), grads)
     };
     let one = at_threads(1, run);

@@ -236,8 +236,10 @@ fn optimizers_stay_finite() {
         for _ in 0..20 {
             p.grad = Tensor::rand_normal(2, 2, 0.0, gscale, &mut rng);
             q.grad = p.grad.clone();
-            adam.step(&mut [&mut p]);
-            sgd.step(&mut [&mut q]);
+            adam.begin_step(1);
+            adam.step_param(0, &mut p);
+            sgd.begin_step(1);
+            sgd.step_param(0, &mut q);
         }
         assert!(p.value.all_finite(), "case {case}: adam");
         assert!(q.value.all_finite(), "case {case}: sgd");

@@ -139,13 +139,13 @@ pub fn sync_backend_metrics() {
     crate::metrics::gauge("backend.blocked.calls").set(stats.blocked_calls as i64);
 }
 
-/// The adapter-layer gauges as one JSON object: the active mode plus the
-/// footprint of the most recent [`tasfar_nn::adapter::enable_adapters`]
-/// call ([`tasfar_nn::adapter::stats`]).
+/// The adapter-layer gauges as one JSON object: the footprint of the most
+/// recent [`tasfar_nn::adapter::enable_adapters`] call
+/// ([`tasfar_nn::adapter::stats`]). A `rank` of 0 means no adapters were
+/// attached.
 pub fn adapter_stats_json() -> Json {
     let stats = tasfar_nn::adapter::stats();
     Json::obj(vec![
-        ("mode", Json::Str(tasfar_nn::adapter::active_mode().name())),
         ("rank", Json::UInt(stats.rank)),
         ("layers", Json::UInt(stats.layers)),
         ("params", Json::UInt(stats.params)),

@@ -1,13 +1,18 @@
-//! Target-data partitioning (the paper's Sec. VI future work, implemented
-//! in `tasfar_core::partition`): adapt the crowd counter once per scene
+//! Target-data partitioning (the paper's Sec. VI future work, see
+//! `tasfar_core::partition`): adapt the crowd counter once per scene
 //! instead of fusing all scenes, and compare against both the baseline and
 //! the fused adaptation — the protocol behind the paper's Fig. 20.
+//!
+//! Each scene is one tenant of a `TenantSession`: a guarded adapt that
+//! keeps only a low-rank delta over the shared source model, served
+//! through the segmented forward.
 //!
 //! Run with: `cargo run --release -p examples --bin partitioned_scenes`
 
 use tasfar_core::prelude::*;
 use tasfar_data::crowd::{self, CrowdConfig};
 use tasfar_data::{Dataset, Scaler};
+use tasfar_nn::layers::SegmentSpan;
 use tasfar_nn::prelude::*;
 
 fn main() {
@@ -70,19 +75,26 @@ fn main() {
     let mut fused_model = model.clone();
     let _ = adapt(&mut fused_model, &calib, &fused_adapt.x, &Mse, &cfg);
 
-    // Partitioned: one adaptation per scene via the future-work API.
-    let mut parted = adapt_partitioned(&model, &calib, &fused_adapt.x, &keys, &Mse, &cfg);
+    // Partitioned: one guarded rank-8 delta adapt per scene over one shared
+    // source model.
+    let session = TenantSession::new(calib, cfg, AdapterConfig::rank(8));
+    let (mut shared, init) = session.prepare_shared(&model, &mut rng);
+    let groups = group_by_key(&keys);
+    let mut deltas = Vec::with_capacity(groups.len());
+    let mut summaries = Vec::with_capacity(groups.len());
+    for (g, rows) in groups.iter().enumerate() {
+        let xg = fused_adapt.x.select_rows(rows);
+        let (outcome, art) =
+            session.adapt_delta(&mut shared, &init, g as u64, None, &xg, &Mse, &mut rng);
+        summaries.push(match outcome.adaptation() {
+            Some(a) => format!("{:.2}", a.split.uncertain_ratio()),
+            None => format!("{} (source)", outcome.label()),
+        });
+        deltas.push(art);
+    }
     println!(
-        "partitioned into {} scene groups; per-group uncertain ratios: {:?}",
-        parted.num_groups(),
-        parted
-            .outcomes
-            .iter()
-            .map(|o| match o {
-                Ok(o) => format!("{:.2}", o.split.uncertain_ratio()),
-                Err(e) => format!("failed: {e}"),
-            })
-            .collect::<Vec<_>>()
+        "partitioned into {} scene groups; per-group uncertain ratios: {summaries:?}",
+        groups.len()
     );
 
     println!(
@@ -92,7 +104,12 @@ fn main() {
     for (s, test_ds) in test_parts.iter().enumerate() {
         let base = metrics::mae(&model.clone().predict(&test_ds.x), &test_ds.y);
         let fused_mae = metrics::mae(&fused_model.predict(&test_ds.x), &test_ds.y);
-        let part_mae = metrics::mae(&parted.models[s].predict(&test_ds.x), &test_ds.y);
+        let span = SegmentSpan {
+            rows: test_ds.len(),
+            delta: deltas[s].as_ref(),
+        };
+        let part_pred = shared.predict_segmented_scratch(&test_ds.x, &[span], &mut Scratch::new());
+        let part_mae = metrics::mae(&part_pred, &test_ds.y);
         println!(
             "{:>7} {base:>10.2} {fused_mae:>10.2} {part_mae:>13.2}",
             s + 1

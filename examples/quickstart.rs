@@ -68,10 +68,17 @@ fn main() {
     // ---- optional adapter subspace (TASFAR_ADAPTER=rank:<r>) ------------
     // Freezes the source weights and hands adaptation a zero-initialised
     // low-rank delta to move instead, so the per-scenario adapted state is
-    // KB-scale. Off by default; attaching is prediction-preserving, so with
-    // `TASFAR_ADAPTER=off` (or unset) the run is bit-identical to before.
-    let adapter_layers = enable_adapters_from_env(&mut model, &mut rng);
-    if adapter_layers > 0 {
+    // KB-scale. Only `rank:<r>` with r ≥ 1 attaches adapters; any other
+    // value (or none) runs without them, bit-identical to before.
+    let adapter_rank = std::env::var("TASFAR_ADAPTER")
+        .ok()
+        .and_then(|v| {
+            let v = v.trim().to_ascii_lowercase();
+            v.strip_prefix("rank:")?.trim().parse::<usize>().ok()
+        })
+        .filter(|&r| r >= 1);
+    if let Some(rank) = adapter_rank {
+        enable_adapters(&mut model, &AdapterConfig::rank(rank), &mut rng);
         let stats = tasfar_nn::adapter::stats();
         println!(
             "adapter subspace: rank {} on {} layer(s), {} delta params ({} B)",

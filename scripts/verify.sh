@@ -118,21 +118,24 @@ test -s "$scratch/chaos_trace.jsonl" || { echo "chaos gate: no trace written" >&
 cargo run --release -p tasfar-obs --bin trace-check -- "$scratch/chaos_trace.jsonl" \
     --require chaos.injected,guard.rollback,adapt_guarded
 
-# Adapter gate: with the adapter layer off the pipeline must be bit-for-bit
-# what it was before the subspace existed (golden hashes + gradcheck), the
-# adapter chaos gauntlet and the delta-sized-checkpoint audit must hold, and
-# a rank:4 quickstart must adapt end-to-end (exit 0) leaving the
-# `adapter_layer` record — the `adapter.*` gauges' trace bridge — in the
-# trace alongside the fine-tune stage.
-echo "==> adapter gate (off = bit-identical; rank:4 quickstart smoke)"
-TASFAR_ADAPTER=off cargo test -q --release -p tasfar-core --test golden_adapt
-TASFAR_ADAPTER=off cargo test -q --release -p tasfar-nn --lib gradcheck
+# Adapter gate: without adapters the pipeline must be bit-for-bit what it
+# was before the subspace existed (golden hashes + gradcheck), the adapter
+# chaos gauntlet and the delta-sized-checkpoint audit must hold, a rank:4
+# quickstart (the quickstart parses TASFAR_ADAPTER itself) must adapt
+# end-to-end (exit 0) leaving the `adapter_layer` record — the `adapter.*`
+# gauges' trace bridge — in the trace alongside the fine-tune stage, and
+# the per-scene partition example — the one binary that runs the per-group
+# `adapt_delta` loop — must exit 0.
+echo "==> adapter gate (no adapters = bit-identical; rank:4 quickstart; partitioned scenes)"
+cargo test -q --release -p tasfar-core --test golden_adapt
+cargo test -q --release -p tasfar-nn --lib gradcheck
 cargo test -q --release -p tasfar-core --test chaos_adapter --test delta_audit
 TASFAR_ADAPTER=rank:4 TASFAR_TRACE="$scratch/adapter_trace.jsonl" \
     cargo run --release -p examples --bin quickstart >/dev/null
 test -s "$scratch/adapter_trace.jsonl" || { echo "adapter gate: no trace written" >&2; exit 1; }
 cargo run --release -p tasfar-obs --bin trace-check -- "$scratch/adapter_trace.jsonl" \
     --require adapter_layer,stage.fine_tune,train_epoch
+cargo run --release -p examples --bin partitioned_scenes >/dev/null
 
 # Stream gate: the sliding-window/incremental-KDE suite and the mid-stream
 # chaos gauntlet must hold; a traced streaming run with forced detector

@@ -198,16 +198,21 @@ fn empty_and_single_bin_density_maps() {
 
 #[test]
 fn partitioned_adapter_with_single_group_matches_plain_adapt_structure() {
+    // The partition loop with one group: a single delta adapt over the
+    // whole batch, run the way callers run it.
     let (model, calib, cfg, target_x) = calibrated_toy();
     let keys = vec![0usize; target_x.rows()];
-    let parted =
-        tasfar_core::partition::adapt_partitioned(&model, &calib, &target_x, &keys, &Mse, &cfg);
-    assert_eq!(parted.num_groups(), 1);
-    let outcome = parted.outcomes[0]
-        .as_ref()
-        .expect("single toy group adapts");
+    let groups = group_by_key(&keys);
+    assert_eq!(groups.len(), 1);
+    let session = TenantSession::new(calib, cfg, tasfar_nn::adapter::AdapterConfig::rank(8));
+    let mut rng = Rng::new(9);
+    let (mut shared, init) = session.prepare_shared(&model, &mut rng);
+    let xg = target_x.select_rows(&groups[0]);
+    let (outcome, art) = session.adapt_delta(&mut shared, &init, 0, None, &xg, &Mse, &mut rng);
+    let adapted = outcome.adaptation().expect("single toy group adapts");
+    assert!(art.is_some());
     assert_eq!(
-        outcome.split.confident.len() + outcome.split.uncertain.len(),
+        adapted.split.confident.len() + adapted.split.uncertain.len(),
         target_x.rows()
     );
 }
