@@ -14,7 +14,18 @@
 //!
 //! Floats round-trip exactly: the writer uses Rust's shortest-representation
 //! `Display` for `f64` and the parser uses the correctly-rounded
-//! `str::parse`, so `write ∘ parse` is the identity on finite values.
+//! `str::parse`, so `write ∘ parse` is the identity on finite values. Both
+//! ends stay finite: the writer refuses a non-finite float, and the parser
+//! rejects a number literal that overflows to ±inf (`1e999`), so no document
+//! decodes to a value the writer could not write back. (A literal that
+//! underflows rounds to zero, as `str::parse` does.)
+//!
+//! The parser copies each string as runs of plain bytes between escapes, so
+//! a document parses in time linear in its length. Besides building a tree,
+//! it can walk a document in place (an object's members, an array's
+//! elements, one number at a time); `DeltaArtifact::from_json`, the decoder
+//! on the serving cold path, uses those walks to decode in one pass with no
+//! tree.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -158,19 +169,9 @@ impl Json {
 
     /// Parses a JSON document (rejecting trailing garbage).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
+        let mut p = Parser::new(input);
         let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(JsonError::new(format!(
-                "trailing characters at byte {}",
-                p.pos
-            )));
-        }
+        p.finish()?;
         Ok(value)
     }
 }
@@ -353,12 +354,44 @@ fn write_string(s: &str, out: &mut String) {
 
 // ----- parser ---------------------------------------------------------------
 
-struct Parser<'a> {
+/// The recursive-descent reader behind [`Json::parse`]. Its tree-building
+/// `object` and `array` run on the same member and element walks that a
+/// streaming decoder (`DeltaArtifact::from_json`) calls directly.
+pub(crate) struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// A parser at the first non-whitespace byte of `input`.
+    pub(crate) fn new(input: &'a str) -> Self {
+        let mut p = Parser {
+            text: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// Succeeds when only whitespace is left (no trailing garbage).
+    pub(crate) fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(JsonError::new(format!(
+                "trailing characters at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
+    /// Bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -385,7 +418,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses one value into a tree.
+    pub(crate) fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
@@ -415,12 +449,35 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
         let mut pairs = Vec::new();
+        self.members(|p, key| {
+            pairs.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(pairs))
+    }
+
+    fn array(&mut self) -> Result<Json, JsonError> {
+        let mut items = Vec::new();
+        self.elements(|p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
+    }
+
+    /// Walks an object: reads each member's key and calls `member` with the
+    /// parser at that member's value, which `member` must consume. Returns
+    /// past the closing `}`.
+    pub(crate) fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, String) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -428,14 +485,13 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(());
                 }
                 _ => {
                     return Err(JsonError::new(format!(
@@ -447,23 +503,27 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    /// Walks an array: calls `element` with the parser at each element,
+    /// which `element` must consume. Returns past the closing `]`.
+    pub(crate) fn elements(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            element(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => {
                     return Err(JsonError::new(format!(
@@ -479,13 +539,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next `"` or `\`. Both
+            // are ASCII, so the run starts and ends on char boundaries of
+            // the (already valid) input text.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(JsonError::new("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: one escape sequence.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -509,15 +580,6 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Decode one UTF-8 scalar (input is a &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::new("invalid utf-8 in string"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -558,32 +620,46 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Scans one number literal, returning its text and its value as a
+    /// correctly rounded `f64`. A literal that overflows to ±inf is an
+    /// error: the writer never emits one, and a non-finite value decoded
+    /// into a model or a delta would only fail later, further from its
+    /// source.
+    fn scan_number(&mut self) -> Result<(&'a str, f64), JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'-') => self.pos += 1,
+            Some(b) if b.is_ascii_digit() => {}
+            _ => return Err(JsonError::new(format!("expected number at byte {start}"))),
         }
-        let mut integral = true;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    integral = false;
-                    self.pos += 1;
-                }
-                _ => break,
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(rest.len());
+        // Every scanned byte is ASCII, so this slice needs no validating.
+        let text = &self.text[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok((text, v)),
+            Ok(_) => Err(JsonError::new(format!("number `{text}` overflows f64"))),
+            Err(_) => Err(JsonError::new(format!("invalid number `{text}`"))),
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let (text, v) = self.scan_number()?;
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Json::UInt(n));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::new("invalid number bytes"))?;
-        if integral && !text.starts_with('-') {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::UInt(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError::new(format!("invalid number `{text}`")))
+        Ok(Json::Num(v))
+    }
+
+    /// Reads one number as an `f64` — the value [`Json::as_f64`] gives for
+    /// the same literal (an integer literal rounds like `u64 as f64`).
+    pub(crate) fn f64(&mut self) -> Result<f64, JsonError> {
+        self.scan_number().map(|(_, v)| v)
     }
 }
 
@@ -653,6 +729,8 @@ mod tests {
             "{\"a\": 1} trailing",
             "[1 2]",
             "nan",
+            "1e999",
+            "[0.5, -2e308]",
         ] {
             assert!(
                 Json::parse(bad).is_err(),
@@ -711,6 +789,15 @@ mod tests {
         let v = Json::parse(" { \"k\" : [ 1 , 2 ] , \"u\" : \"\\u00e9\\n\" } ").unwrap();
         assert_eq!(v.field("u").unwrap().as_str().unwrap(), "é\n");
         assert_eq!(v.field("k").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn strings_mix_plain_runs_and_escapes() {
+        let v = Json::parse(r#""aé😀\n\"b\\\u0041c""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "aé😀\n\"b\\Ac");
+        let long = "é".repeat(50_000);
+        let v = Json::parse(&format!("\"{long}\"")).unwrap();
+        assert_eq!(v.as_str().unwrap(), long);
     }
 
     #[test]

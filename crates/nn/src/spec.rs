@@ -27,7 +27,7 @@
 //! ```
 
 use crate::init::Init;
-use crate::json::{enum_variant, FromJson, Json, JsonError, ToJson};
+use crate::json::{enum_variant, FromJson, Json, JsonError, Parser, ToJson};
 use crate::layers::{
     BatchNorm1d, Conv1d, Dense, Dropout, GlobalAvgPool1d, Layer, LeakyRelu, Relu, Sequential,
     Sigmoid, Tanh, TcnBlock,
@@ -595,7 +595,7 @@ impl DeltaArtifact {
             let i = self.shapes.len().min(self.values.len());
             return Err(DeltaApplyError::Corrupt {
                 index: i,
-                expected_len: self.shapes.get(i).map_or(0, |&(r, c)| r * c),
+                expected_len: self.shapes.get(i).map_or(0, |&(r, c)| r.saturating_mul(c)),
                 found_len: self.values.get(i).map_or(0, Vec::len),
             });
         }
@@ -615,7 +615,7 @@ impl DeltaArtifact {
                     model: model_shape,
                 });
             }
-            let expected_len = stored.0 * stored.1;
+            let expected_len = stored.0.saturating_mul(stored.1);
             if self.values[i].len() != expected_len {
                 return Err(DeltaApplyError::Corrupt {
                     index: i,
@@ -637,10 +637,83 @@ impl DeltaArtifact {
         ToJson::to_json(self)
     }
 
-    /// Deserializes from a JSON string.
+    /// Deserializes from a JSON string in one pass: `values` streams
+    /// straight into its vectors, with no intermediate value tree (a cold
+    /// serving lookup pays this on every rehydrate).
+    ///
+    /// Accepts exactly what [`Json::parse`] plus field lookups accept: any
+    /// key order and whitespace, unknown keys (skipped), a repeated key
+    /// (the first occurrence wins, as [`Json::get`] does) and integer
+    /// literals (decoded to their [`Json::as_f64`] value). A number literal
+    /// that overflows to ±inf is an error, as it is for [`Json::parse`].
     pub fn from_json(json: &str) -> Result<Self, JsonError> {
-        <Self as FromJson>::from_json(json)
+        let mut p = Parser::new(json);
+        let mut rank = None;
+        let mut alpha = None;
+        let mut shapes: Option<Vec<(usize, usize)>> = None;
+        let mut values = None;
+        p.members(|p, key| {
+            match key.as_str() {
+                "rank" if rank.is_none() => rank = Some(p.value()?.as_usize()?),
+                "alpha" if alpha.is_none() => alpha = Some(p.value()?.as_f64()?),
+                "shapes" if shapes.is_none() => shapes = Some(decode_shapes(&p.value()?)?),
+                "values" if values.is_none() => {
+                    values = Some(stream_values(p, shapes.as_deref()).map_err(|e| e.at("values"))?)
+                }
+                _ => {
+                    p.value()?;
+                }
+            }
+            Ok(())
+        })?;
+        p.finish()?;
+        let missing = |key: &str| JsonError::new(format!("missing field `{key}`"));
+        Ok(DeltaArtifact {
+            rank: rank.ok_or_else(|| missing("rank"))?,
+            alpha: alpha.ok_or_else(|| missing("alpha"))?,
+            shapes: shapes.ok_or_else(|| missing("shapes"))?,
+            values: values.ok_or_else(|| missing("values"))?,
+        })
     }
+}
+
+/// `[[rows, cols], ...]` as `(rows, cols)` pairs.
+fn decode_shapes(v: &Json) -> Result<Vec<(usize, usize)>, JsonError> {
+    v.as_arr()?
+        .iter()
+        .map(|s| match s.as_arr()? {
+            [rows, cols] => Ok((rows.as_usize()?, cols.as_usize()?)),
+            _ => Err(JsonError::new(
+                "DeltaArtifact: each shape must be [rows, cols]",
+            )),
+        })
+        .collect()
+}
+
+/// Streams `[[f64, ...], ...]` into one vector per tensor. When `shapes`
+/// is already known each vector is sized from its shape, but never beyond
+/// what the rest of the input could hold (a number and its separator take
+/// at least two bytes), so a corrupted shape cannot force a huge
+/// allocation. A count that disagrees with its shape is left for
+/// [`DeltaArtifact::check`] to report.
+fn stream_values(
+    p: &mut Parser<'_>,
+    shapes: Option<&[(usize, usize)]>,
+) -> Result<Vec<Vec<f64>>, JsonError> {
+    let mut values: Vec<Vec<f64>> = Vec::with_capacity(shapes.map_or(0, <[_]>::len));
+    p.elements(|p| {
+        let len = shapes
+            .and_then(|s| s.get(values.len()))
+            .map_or(0, |&(rows, cols)| rows.saturating_mul(cols));
+        let mut tensor = Vec::with_capacity(len.min(p.remaining() / 2));
+        p.elements(|p| {
+            tensor.push(p.f64()?);
+            Ok(())
+        })?;
+        values.push(tensor);
+        Ok(())
+    })?;
+    Ok(values)
 }
 
 impl ToJson for DeltaArtifact {
@@ -659,28 +732,6 @@ impl ToJson for DeltaArtifact {
             ),
             ("values", self.values.to_json_value()),
         ])
-    }
-}
-
-impl FromJson for DeltaArtifact {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        let shapes_json = v.field("shapes")?.as_arr()?;
-        let mut shapes = Vec::with_capacity(shapes_json.len());
-        for s in shapes_json {
-            let pair = s.as_arr()?;
-            if pair.len() != 2 {
-                return Err(JsonError::new(
-                    "DeltaArtifact: each shape must be [rows, cols]".to_string(),
-                ));
-            }
-            shapes.push((pair[0].as_usize()?, pair[1].as_usize()?));
-        }
-        Ok(DeltaArtifact {
-            rank: v.field("rank")?.as_usize()?,
-            alpha: v.field("alpha")?.as_f64()?,
-            shapes,
-            values: v.decode("values")?,
-        })
     }
 }
 

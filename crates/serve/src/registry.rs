@@ -11,8 +11,10 @@
 //!
 //! When inserting or rehydrating pushes a shard past its budget, the
 //! least-recently-used resident deltas are evicted — serialized back to the
-//! cold store if they weren't there already — until the shard fits. Every
-//! eviction emits a `serve.evict` span with the tenant, bytes, and reason.
+//! cold store if they weren't there already — until the shard fits. Each
+//! shard lists its resident tenants, so the victim search scans only those,
+//! not every tenant the shard knows. Every eviction emits a `serve.evict`
+//! span with the tenant, bytes, and reason.
 //!
 //! A registry never stores full models: the budget covers deltas only, the
 //! frozen source model is the workers' business.
@@ -77,7 +79,17 @@ struct TenantState {
 
 struct Shard {
     tenants: HashMap<u64, TenantState>,
+    /// The tenants whose `resident` is `Some`, in no particular order.
+    residents: Vec<u64>,
     resident_bytes: u64,
+}
+
+impl Shard {
+    fn unlist(&mut self, tenant: u64) {
+        if let Some(i) = self.residents.iter().position(|&t| t == tenant) {
+            self.residents.swap_remove(i);
+        }
+    }
 }
 
 /// The sharded delta store. All methods take `&self`; internal per-shard
@@ -103,6 +115,7 @@ impl TenantRegistry {
                 .map(|_| {
                     Mutex::new(Shard {
                         tenants: HashMap::new(),
+                        residents: Vec::new(),
                         resident_bytes: 0,
                     })
                 })
@@ -138,13 +151,8 @@ impl TenantRegistry {
     /// first lookup. Replaces any previous state for the tenant.
     pub fn register_cold(&self, tenant: u64, artifact_json: Arc<str>) {
         let mut shard = self.lock(self.shard_of(tenant));
-        if let Some(prev) = shard.tenants.get(&tenant) {
-            if prev.resident.is_some() {
-                shard.resident_bytes -= prev.bytes;
-            }
-        }
         let last_used = self.tick();
-        shard.tenants.insert(
+        let prev = shard.tenants.insert(
             tenant,
             TenantState {
                 resident: None,
@@ -153,6 +161,10 @@ impl TenantRegistry {
                 last_used,
             },
         );
+        if let Some(prev) = prev.filter(|p| p.resident.is_some()) {
+            shard.resident_bytes -= prev.bytes;
+            shard.unlist(tenant);
+        }
     }
 
     /// Installs a freshly captured resident delta (the adapt path), then
@@ -162,13 +174,8 @@ impl TenantRegistry {
         let bytes = artifact.payload_bytes() as u64;
         let shard_idx = self.shard_of(tenant);
         let mut shard = self.lock(shard_idx);
-        if let Some(prev) = shard.tenants.get(&tenant) {
-            if prev.resident.is_some() {
-                shard.resident_bytes -= prev.bytes;
-            }
-        }
         let last_used = self.tick();
-        shard.tenants.insert(
+        let prev = shard.tenants.insert(
             tenant,
             TenantState {
                 resident: Some(Arc::new(artifact)),
@@ -177,6 +184,10 @@ impl TenantRegistry {
                 last_used,
             },
         );
+        match prev {
+            Some(prev) if prev.resident.is_some() => shard.resident_bytes -= prev.bytes,
+            _ => shard.residents.push(tenant),
+        }
         shard.resident_bytes += bytes;
         self.enforce_budget(&mut shard, tenant);
     }
@@ -189,7 +200,8 @@ impl TenantRegistry {
     /// whole-batch forward. Touches the tenant's LRU stamp.
     pub fn artifact_handle(&self, tenant: u64) -> (Option<Arc<DeltaArtifact>>, Residency) {
         let shard_idx = self.shard_of(tenant);
-        let mut shard = self.lock(shard_idx);
+        let mut guard = self.lock(shard_idx);
+        let shard = &mut *guard;
         let tick = self.tick();
         let mut residency = Residency::SourceOnly;
         let mut rehydrated_bytes = 0u64;
@@ -203,6 +215,7 @@ impl TenantRegistry {
                         state.bytes = artifact.payload_bytes() as u64;
                         rehydrated_bytes = state.bytes;
                         state.resident = Some(Arc::new(artifact));
+                        shard.residents.push(tenant);
                         residency = Residency::Rehydrated;
                         self.rehydrations.fetch_add(1, Ordering::Relaxed);
                         tasfar_obs::metrics::counter("serve.rehydrations").incr();
@@ -219,12 +232,14 @@ impl TenantRegistry {
         shard.resident_bytes += rehydrated_bytes;
         let handle = shard.tenants.get(&tenant).and_then(|s| s.resident.clone());
         if rehydrated_bytes > 0 {
-            self.enforce_budget(&mut shard, tenant);
+            self.enforce_budget(shard, tenant);
         }
         (handle, residency)
     }
 
-    /// Evicts LRU residents until the shard fits its budget. `keep` (the
+    /// Evicts LRU residents until the shard fits its budget, searching only
+    /// the shard's resident list (`last_used` ticks are unique, so the
+    /// victim is the one a scan of every tenant would pick). `keep` (the
     /// tenant just touched) is evicted only if it alone exceeds the budget:
     /// the budget is a hard cap, so an oversized artifact is serialized
     /// back to cold immediately rather than leaving the shard over budget
@@ -233,11 +248,11 @@ impl TenantRegistry {
     fn enforce_budget(&self, shard: &mut Shard, keep: u64) {
         while shard.resident_bytes > self.budget_per_shard {
             let victim = shard
-                .tenants
+                .residents
                 .iter()
-                .filter(|(&t, s)| s.resident.is_some() && t != keep)
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(&t, _)| t);
+                .copied()
+                .filter(|&t| t != keep)
+                .min_by_key(|t| shard.tenants[t].last_used);
             match victim {
                 Some(victim) => {
                     Self::evict_locked(shard, victim, "budget", &self.evictions);
@@ -264,8 +279,9 @@ impl TenantRegistry {
             state.cold = Some(Arc::from(artifact.to_json().as_str()));
         }
         let bytes = state.bytes;
-        shard.resident_bytes -= bytes;
         state.bytes = 0;
+        shard.resident_bytes -= bytes;
+        shard.unlist(tenant);
         evictions.fetch_add(1, Ordering::Relaxed);
         tasfar_obs::metrics::counter("serve.evictions").incr();
         let mut span = tasfar_obs::span("serve.evict");
@@ -288,12 +304,7 @@ impl TenantRegistry {
         let mut evicted = 0;
         for i in 0..self.shards.len() {
             let mut shard = self.lock(i);
-            let residents: Vec<u64> = shard
-                .tenants
-                .iter()
-                .filter(|(_, s)| s.resident.is_some())
-                .map(|(&t, _)| t)
-                .collect();
+            let residents = shard.residents.clone();
             for t in residents {
                 if Self::evict_locked(&mut shard, t, reason, &self.evictions) {
                     evicted += 1;
@@ -315,11 +326,7 @@ impl TenantRegistry {
         for i in 0..self.shards.len() {
             let shard = self.lock(i);
             stats.tenants += shard.tenants.len();
-            stats.resident_tenants += shard
-                .tenants
-                .values()
-                .filter(|s| s.resident.is_some())
-                .count();
+            stats.resident_tenants += shard.residents.len();
             stats.resident_bytes += shard.resident_bytes;
         }
         stats
@@ -482,6 +489,254 @@ mod tests {
                 "storm-evicted artifact must rehydrate bit-identically"
             );
             assert_eq!(residency, Residency::Rehydrated);
+        }
+    }
+
+    /// What the registry tracks per tenant, kept by a reference that has
+    /// no resident list: each LRU victim comes from a scan of every tenant.
+    #[derive(Clone)]
+    struct RefTenant {
+        resident: Option<DeltaArtifact>,
+        cold: Option<String>,
+        bytes: u64,
+        last_used: u64,
+    }
+
+    struct Reference {
+        shards: usize,
+        budget: u64,
+        tenants: HashMap<u64, RefTenant>,
+        clock: u64,
+        evictions: u64,
+        rehydrations: u64,
+    }
+
+    impl Reference {
+        fn shard_of(&self, t: u64) -> usize {
+            (fnv1a(&t.to_le_bytes()) % self.shards as u64) as usize
+        }
+
+        fn tick(&mut self) -> u64 {
+            self.clock += 1;
+            self.clock
+        }
+
+        fn shard_bytes(&self, shard: usize) -> u64 {
+            self.tenants
+                .iter()
+                .filter(|(&t, s)| self.shard_of(t) == shard && s.resident.is_some())
+                .map(|(_, s)| s.bytes)
+                .sum()
+        }
+
+        fn evict(&mut self, t: u64) -> bool {
+            let Some(s) = self.tenants.get_mut(&t) else {
+                return false;
+            };
+            let Some(a) = s.resident.take() else {
+                return false;
+            };
+            s.cold.get_or_insert_with(|| a.to_json());
+            s.bytes = 0;
+            self.evictions += 1;
+            true
+        }
+
+        fn enforce_budget(&mut self, keep: u64) {
+            let shard = self.shard_of(keep);
+            while self.shard_bytes(shard) > self.budget {
+                let victim = self
+                    .tenants
+                    .iter()
+                    .filter(|(&t, s)| {
+                        self.shard_of(t) == shard && s.resident.is_some() && t != keep
+                    })
+                    .min_by_key(|(_, s)| s.last_used)
+                    .map(|(&t, _)| t);
+                match victim {
+                    Some(v) => {
+                        self.evict(v);
+                    }
+                    None => {
+                        self.evict(keep);
+                        break;
+                    }
+                }
+            }
+        }
+
+        fn register_cold(&mut self, t: u64, json: &str) {
+            let last_used = self.tick();
+            self.tenants.insert(
+                t,
+                RefTenant {
+                    resident: None,
+                    cold: Some(json.to_string()),
+                    bytes: 0,
+                    last_used,
+                },
+            );
+        }
+
+        fn insert_resident(&mut self, t: u64, a: DeltaArtifact) {
+            let last_used = self.tick();
+            let bytes = a.payload_bytes() as u64;
+            self.tenants.insert(
+                t,
+                RefTenant {
+                    resident: Some(a),
+                    cold: None,
+                    bytes,
+                    last_used,
+                },
+            );
+            self.enforce_budget(t);
+        }
+
+        fn artifact_handle(&mut self, t: u64) -> (Option<DeltaArtifact>, Residency) {
+            let tick = self.tick();
+            let Some(s) = self.tenants.get_mut(&t) else {
+                return (None, Residency::SourceOnly);
+            };
+            s.last_used = tick;
+            if s.resident.is_some() {
+                return (s.resident.clone(), Residency::Resident);
+            }
+            let Some(cold) = &s.cold else {
+                return (None, Residency::SourceOnly);
+            };
+            match DeltaArtifact::from_json(cold) {
+                Ok(a) => {
+                    s.bytes = a.payload_bytes() as u64;
+                    s.resident = Some(a.clone());
+                    self.rehydrations += 1;
+                    if s.bytes > 0 {
+                        self.enforce_budget(t);
+                    }
+                    (Some(a), Residency::Rehydrated)
+                }
+                Err(_) => {
+                    s.cold = None;
+                    (None, Residency::SourceOnly)
+                }
+            }
+        }
+    }
+
+    /// Random operation sequences over a few shards with tight budgets: after
+    /// every operation the registry, which searches only its resident lists,
+    /// must agree with the reference on the returned handle and residency,
+    /// on `stats()`, on which tenants are resident, and on the budget cap.
+    #[test]
+    fn resident_lists_evict_what_a_full_scan_evicts() {
+        // Deltas of three sizes, their JSON, and two texts that fail to
+        // parse (truncated; an overflowing literal).
+        let artifacts: Vec<DeltaArtifact> = [(3, 4), (3, 9), (5, 16)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(d_in, width))| {
+                let mut rng = Rng::new(40 + i as u64);
+                let mut m = Sequential::new()
+                    .add(Dense::new(d_in, width, Init::HeNormal, &mut rng))
+                    .add(Relu::new())
+                    .add(Dense::new(width, 1, Init::HeNormal, &mut rng));
+                enable_adapters(&mut m, &AdapterConfig::rank(2), &mut rng);
+                DeltaArtifact::capture(&mut m, &AdapterConfig::rank(2))
+            })
+            .collect();
+        let mut texts: Vec<String> = artifacts.iter().map(|a| a.to_json()).collect();
+        texts.push(texts[0][..texts[0].len() / 2].to_string());
+        texts.push(texts[1].replacen("\"values\":[[", "\"values\":[[1e999,", 1));
+        let unit = artifacts[1].payload_bytes() as u64;
+
+        for case in 0..60u64 {
+            let mut g = Rng::new(0x4E51D ^ case);
+            let shards = 1 + g.below(3);
+            let budget = unit * (1 + g.below(4) as u64) * shards as u64 / 2;
+            let reg = TenantRegistry::new(shards, budget);
+            let mut reference = Reference {
+                shards,
+                budget: reg.budget_per_shard,
+                tenants: HashMap::new(),
+                clock: 0,
+                evictions: 0,
+                rehydrations: 0,
+            };
+            for op in 0..150 {
+                let t = g.below(10) as u64;
+                let what = format!("case {case} op {op}");
+                match g.below(10) {
+                    0..=1 => {
+                        let text = &texts[g.below(texts.len())];
+                        reg.register_cold(t, Arc::from(text.as_str()));
+                        reference.register_cold(t, text);
+                    }
+                    2..=3 => {
+                        let a = artifacts[g.below(artifacts.len())].clone();
+                        reg.insert_resident(t, a.clone());
+                        reference.insert_resident(t, a);
+                    }
+                    4..=7 => {
+                        let (handle, residency) = reg.artifact_handle(t);
+                        let (want, want_residency) = reference.artifact_handle(t);
+                        assert_eq!(residency, want_residency, "{what}: residency of {t}");
+                        assert_eq!(handle.as_deref(), want.as_ref(), "{what}: handle of {t}");
+                    }
+                    8 => assert_eq!(
+                        reg.evict(t, "test"),
+                        reference.evict(t),
+                        "{what}: evict {t}"
+                    ),
+                    _ => {
+                        let want = (0..10).filter(|&t| reference.evict(t)).count();
+                        assert_eq!(reg.evict_all_resident("test"), want, "{what}: storm");
+                    }
+                }
+
+                let stats = reg.stats();
+                let resident: Vec<u64> = {
+                    let mut r: Vec<u64> = reference
+                        .tenants
+                        .iter()
+                        .filter(|(_, s)| s.resident.is_some())
+                        .map(|(&t, _)| t)
+                        .collect();
+                    r.sort_unstable();
+                    r
+                };
+                assert_eq!(
+                    stats.resident_tenants,
+                    resident.len(),
+                    "{what}: resident tenants"
+                );
+                assert_eq!(
+                    stats.resident_bytes,
+                    (0..shards).map(|s| reference.shard_bytes(s)).sum::<u64>(),
+                    "{what}: resident bytes"
+                );
+                assert_eq!(stats.evictions, reference.evictions, "{what}: evictions");
+                assert_eq!(
+                    stats.rehydrations, reference.rehydrations,
+                    "{what}: rehydrations"
+                );
+                assert_eq!(stats.tenants, reference.tenants.len(), "{what}: tenants");
+                let mut listed = Vec::new();
+                for (i, shard) in reg.shards.iter().enumerate() {
+                    let shard = shard.lock().unwrap();
+                    assert!(
+                        shard.resident_bytes <= reg.budget_per_shard,
+                        "{what}: shard {i} over budget"
+                    );
+                    assert_eq!(
+                        shard.resident_bytes,
+                        reference.shard_bytes(i),
+                        "{what}: shard {i}"
+                    );
+                    listed.extend_from_slice(&shard.residents);
+                }
+                listed.sort_unstable();
+                assert_eq!(listed, resident, "{what}: resident lists");
+            }
         }
     }
 

@@ -299,3 +299,58 @@ fn stale_cold_delta_degrades_to_source_serving() {
         "a stale delta serves exactly the source model's bits"
     );
 }
+
+#[test]
+fn unparseable_cold_artifacts_serve_source_and_are_dropped() {
+    let rt = support::runtime(ServeConfig::default());
+    let mut worker = rt.worker(47);
+    adapt_tenant(&mut worker, 1, 0.5);
+    let json = rt.registry().clone_artifact(1).unwrap().to_json();
+    // Tenant 20's cold copy is cut short; tenant 21's has one byte inside
+    // its `values` overwritten. Neither parses.
+    let truncated = &json[..json.len() / 2];
+    let mut corrupted = json.clone().into_bytes();
+    corrupted[json.find("\"values\"").unwrap() + 20] = b'x';
+    let corrupted = String::from_utf8(corrupted).unwrap();
+    rt.registry().register_cold(20, Arc::from(truncated));
+    rt.registry()
+        .register_cold(21, Arc::from(corrupted.as_str()));
+
+    let mut rng = Rng::new(21);
+    let x = Tensor::rand_normal(2, 2, 0.0, 1.0, &mut rng);
+    let (source_out, _) = worker.serve_solo(8, &x); // 8 = never registered
+    let source_hash = hash_tensor_bits(&source_out);
+    worker.recycle(source_out);
+
+    let parse_errors = || tasfar_obs::metrics::counter("serve.cold_parse_errors").get();
+    let errors_before = parse_errors();
+    let rehydrations_before = rt.registry().stats().rehydrations;
+    for round in 0..2 {
+        for tenant in [20, 1, 21] {
+            rt.submit_predict(tenant, x.clone()).unwrap();
+        }
+        let outs = predict_outputs(worker.process_next());
+        assert_eq!(outs.len(), 3, "round {round}: one fused batch");
+        for (tenant, out, via) in &outs {
+            if *tenant == 1 {
+                assert_eq!(*via, ServedVia::Delta);
+                continue;
+            }
+            assert_eq!(*via, ServedVia::Source, "round {round}: tenant {tenant}");
+            assert_eq!(
+                hash_tensor_bits(out),
+                source_hash,
+                "round {round}: tenant {tenant} serves the source model's bits"
+            );
+        }
+        // Each bad copy is counted once, on the lookup that found it, and
+        // then dropped: the second round parses nothing.
+        assert_eq!(parse_errors(), errors_before + 2, "round {round}");
+    }
+    assert_eq!(rt.registry().stats().rehydrations, rehydrations_before);
+    for tenant in [20, 21] {
+        let (handle, residency) = rt.registry().artifact_handle(tenant);
+        assert!(handle.is_none());
+        assert_eq!(residency, tasfar_serve::Residency::SourceOnly);
+    }
+}

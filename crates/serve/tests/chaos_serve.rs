@@ -228,3 +228,68 @@ fn evict_storm_rehydrates_bit_identically_mid_batch() {
     assert!(handle.is_some());
     assert_eq!(residency, Residency::Resident);
 }
+
+/// A cold delta with a number literal that overflows `f64` (`1e999`) must
+/// fail to parse rather than rehydrate as infinite weights: the tenant
+/// serves the source model, and a later adapt and evict of it complete.
+/// (Decoded as `+inf`, it served NaN predictions, an adapt fell back to
+/// the infinite prior and stored it resident with no cold copy, and the
+/// eviction that serialised it panicked the worker.)
+#[test]
+fn overflowing_cold_literal_degrades_to_source_through_adapt_and_evict() {
+    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    faultinject::disarm();
+    let rt = support::runtime(ServeConfig::default());
+    let mut worker = rt.worker(71);
+    let mut rng = Rng::new(30);
+    rt.submit_adapt(1, support::target_batch(&mut rng, 96, 0.5))
+        .unwrap();
+    worker.process_next();
+    let json = rt.registry().clone_artifact(1).unwrap().to_json();
+    let first = json.find("\"values\":[[").unwrap() + "\"values\":[[".len();
+    let len = json[first..].find([',', ']']).unwrap();
+    let bad = format!("{}1e999{}", &json[..first], &json[first + len..]);
+    rt.registry()
+        .register_cold(30, std::sync::Arc::from(bad.as_str()));
+
+    let x = Tensor::rand_normal(3, 2, 0.0, 1.0, &mut rng);
+    let (source_out, _) = worker.serve_solo(8, &x); // 8 = never registered
+    let source_hash = hash_tensor_bits(&source_out);
+    let parse_errors = || tasfar_obs::metrics::counter("serve.cold_parse_errors").get();
+    let errors_before = parse_errors();
+
+    rt.submit_predict(30, x.clone()).unwrap();
+    let done = worker.process_next();
+    match &done[0].kind {
+        CompletionKind::Predict { output, via } => {
+            assert_eq!(*via, tasfar_serve::ServedVia::Source);
+            assert_eq!(hash_tensor_bits(output), source_hash, "source bits");
+        }
+        other => panic!("expected predict, got {other:?}"),
+    }
+    assert_eq!(parse_errors(), errors_before + 1);
+
+    rt.submit_adapt(30, support::target_batch(&mut rng, 96, -0.5))
+        .unwrap();
+    let done = worker.process_next();
+    assert!(
+        matches!(
+            done[0].kind,
+            CompletionKind::Adapt {
+                outcome: "adapted" | "recovered" | "fell_back"
+            }
+        ),
+        "got {:?}",
+        done[0].kind
+    );
+    rt.submit_evict(30).unwrap();
+    let done = worker.process_next();
+    assert!(matches!(done[0].kind, CompletionKind::Evict { .. }));
+    rt.submit_predict(30, x).unwrap();
+    match &worker.process_next()[0].kind {
+        CompletionKind::Predict { output, .. } => {
+            assert!(output.as_slice().iter().all(|v| v.is_finite()));
+        }
+        other => panic!("expected predict, got {other:?}"),
+    }
+}

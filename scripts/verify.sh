@@ -193,5 +193,13 @@ for w in serve_mlp_hot serve_tcn_cold adapt_tcn_mixed; do
         echo "benchmark gate: $w failed its correctness checks" >&2; exit 1
     fi
 done
+# One traced run: it replays the registry's lookups and reads the span
+# forest back, which attribute serve time to hits and rehydrates. Nothing
+# else runs that code, so it must exit 0 too.
+if ! cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_tcn_cold --seed 1 --seconds 2 --trace 1 >"$scratch/perfbench-traced.log" 2>&1; then
+    cat "$scratch/perfbench-traced.log" >&2
+    echo "benchmark gate: traced serve_tcn_cold failed" >&2; exit 1
+fi
 
 echo "verify: all green"
