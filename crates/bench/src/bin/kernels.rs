@@ -311,43 +311,34 @@ fn main() {
     }
 
     // --- conv1d forward / backward --------------------------------------
-    {
-        let (in_ch, out_ch, k, t_len, batch) = (6, 16, 3, 20, 64);
-        let mut conv = Conv1d::new(in_ch, out_ch, k, 1, t_len, &mut rng);
+    // The PDR TCN's convolutions: block 1's 6→16 k3 conv, block 2's 16→16
+    // k3 d2 conv (three of the five convs are 16→16 k3 and dominate the
+    // TCN's time), block 1's 1×1 downsample, and the 16→16 conv again on a
+    // 2-row serving segment.
+    for (size, in_ch, out_ch, k, dil, batch) in [
+        ("6->16 k3 t20 b64", 6, 16, 3, 1, 64),
+        ("16->16 k3 d2 t20 b64", 16, 16, 3, 2, 64),
+        ("6->16 k1 t20 b64", 6, 16, 1, 1, 64),
+        ("16->16 k3 d2 t20 b2", 16, 16, 3, 2, 2),
+    ] {
+        let t_len = 20;
+        let mut conv = Conv1d::new(in_ch, out_ch, k, dil, t_len, &mut rng);
         let x = Tensor::rand_normal(batch, in_ch * t_len, 0.0, 1.0, &mut rng);
         let g = Tensor::rand_normal(batch, out_ch * t_len, 0.0, 1.0, &mut rng);
-        let iters = if quick { 1 } else { 8 };
+        let iters = if quick { 1 } else { 512 / batch };
         for &bk in &backends {
             for &t in &thread_counts {
-                bench(
-                    &mut rows,
-                    "conv1d_fwd",
-                    "6->16 k3 t20 b64",
-                    bk,
-                    t,
-                    samples,
-                    iters,
-                    || {
-                        std::hint::black_box(conv.forward(&x, Mode::Train));
-                    },
-                );
+                bench(&mut rows, "conv1d_fwd", size, bk, t, samples, iters, || {
+                    std::hint::black_box(conv.forward(&x, Mode::Train));
+                });
             }
         }
         for &bk in &backends {
             for &t in &thread_counts {
                 let _ = conv.forward(&x, Mode::Train);
-                bench(
-                    &mut rows,
-                    "conv1d_bwd",
-                    "6->16 k3 t20 b64",
-                    bk,
-                    t,
-                    samples,
-                    iters,
-                    || {
-                        std::hint::black_box(conv.backward(&g));
-                    },
-                );
+                bench(&mut rows, "conv1d_bwd", size, bk, t, samples, iters, || {
+                    std::hint::black_box(conv.backward(&g));
+                });
             }
         }
     }
@@ -617,6 +608,25 @@ fn main() {
         "blocked matmul 256x256x256 ({blocked_mm:.0} ns) must beat naive ({naive_mm:.0} ns) \
          by at least 1.1x"
     );
+
+    // The blocked conv tile runs vector lanes where naive runs scalar
+    // loops; on the TCN's dominant layer it must keep a clear lead, so a
+    // conv that falls back to a slow path fails here. 1.5× leaves room for
+    // quick-mode noise under the recorded speedups.
+    for kernel in ["conv1d_fwd", "conv1d_bwd"] {
+        let size = "16->16 k3 d2 t20 b64";
+        let naive_ns = backend_ns_of(kernel, size, "naive");
+        let blocked_ns = backend_ns_of(kernel, size, "blocked");
+        println!(
+            "{kernel} {size} blocked speedup vs naive at 1 thread: {:.2}x",
+            naive_ns / blocked_ns
+        );
+        assert!(
+            cfg!(debug_assertions) || naive_ns / blocked_ns >= 1.5,
+            "blocked {kernel} {size} ({blocked_ns:.0} ns) must beat naive ({naive_ns:.0} ns) \
+             by at least 1.5x"
+        );
+    }
 
     // --- report -----------------------------------------------------------
     tasfar_obs::sync_arena_metrics();

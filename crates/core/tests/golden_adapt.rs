@@ -183,6 +183,129 @@ fn golden_per_dimension_2d_path() {
     assert_golden(2, 12, false, GOLDEN_PER_DIM_2D);
 }
 
+/// The benchmark's PDR TCN in miniature: a 6→16 dilation-1 block (with its
+/// 1×1 downsample), a 16→16 dilation-2 block over 20-step windows, pooling
+/// and a dropout Dense head with two outputs. Inputs are latent 2-D labels
+/// written into six channels of sinusoids; the target batch shifts the
+/// labels and scales a third of its windows up, so MC-dropout splits it.
+fn build_tcn(seed: u64) -> (Sequential, Dataset, Tensor) {
+    const CH: usize = 6;
+    const T: usize = 20;
+    let mut rng = Rng::new(seed);
+    let model = Sequential::new()
+        .add(TcnBlock::new(CH, 16, 3, 1, T, 0.1, &mut rng))
+        .add(TcnBlock::new(16, 16, 3, 2, T, 0.1, &mut rng))
+        .add(GlobalAvgPool1d::new(16, T))
+        .add(Dense::new(16, 16, Init::HeNormal, &mut rng))
+        .add(Relu::new())
+        .add(Dropout::new(0.2, &mut rng))
+        .add(Dense::new(16, 2, Init::XavierUniform, &mut rng));
+    let window = |y: [f64; 2], gain: f64, rng: &mut Rng| -> Vec<f64> {
+        (0..CH * T)
+            .map(|i| {
+                let (c, t) = ((i / T) as f64, (i % T) as f64);
+                gain * (y[0] * (0.3 * t + c).cos() + y[1] * (0.2 * t * (c + 1.0)).sin())
+                    + rng.gaussian(0.0, 0.05)
+            })
+            .collect()
+    };
+    let n_src = 96;
+    let mut xs = Vec::with_capacity(n_src * CH * T);
+    let mut ys = Vec::with_capacity(n_src * 2);
+    for _ in 0..n_src {
+        let y = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)];
+        xs.extend(window(y, 1.0, &mut rng));
+        ys.extend(y);
+    }
+    let source = Dataset::new(
+        Tensor::from_vec(n_src, CH * T, xs),
+        Tensor::from_vec(n_src, 2, ys),
+    );
+    let n_tgt = 64;
+    let mut xt = Vec::with_capacity(n_tgt * CH * T);
+    for r in 0..n_tgt {
+        let y = [rng.uniform(0.0, 1.0), rng.uniform(-0.5, 0.5)];
+        let gain = if r % 3 == 0 { 3.0 } else { 1.0 };
+        xt.extend(window(y, gain, &mut rng));
+    }
+    (model, source, Tensor::from_vec(n_tgt, CH * T, xt))
+}
+
+/// Source fit, calibration, then one guarded rank-4 `adapt_delta` on a
+/// 64-window batch; returns (calibration hash, hash of the outcome, the
+/// artifact's values and the adapted model's predictions).
+fn run_tcn_scenario() -> (u64, u64) {
+    let (mut model, source, target_x) = build_tcn(21);
+    let _ = fit(
+        &mut model,
+        &mut Adam::new(2e-3),
+        &Mse,
+        &source.x,
+        &source.y,
+        None,
+        &TrainConfig {
+            epochs: 3,
+            batch_size: 32,
+            seed: 5,
+            ..TrainConfig::default()
+        },
+    );
+    let cfg = TasfarConfig {
+        joint_2d: true,
+        scenario_tau_rescale: true,
+        mc_samples: 4,
+        grid_cell: 0.1,
+        learning_rate: 5e-4,
+        epochs: 2,
+        batch_size: 32,
+        early_stop: None,
+        ..TasfarConfig::default()
+    };
+    let calib = calibrate_on_source(&mut model, &source, &cfg).expect("TCN source calibrates");
+    let calib_hash = hash_calibration(&calib);
+    let session = TenantSession::new(calib, cfg, AdapterConfig::rank(4));
+    let mut rng = Rng::new(22);
+    let (mut shared, init) = session.prepare_shared(&model, &mut rng);
+    let (outcome, artifact) =
+        session.adapt_delta(&mut shared, &init, 7, None, &target_x, &Mse, &mut rng);
+    let adapted = outcome
+        .adaptation()
+        .expect("golden TCN scenario must adapt, not fall back");
+    assert!(!adapted.pseudo.is_empty());
+    let artifact = artifact.expect("an adapted tenant has a delta");
+    artifact.apply(&mut shared, &mut rng);
+    let pred = shared.predict(&target_x);
+    let mut h = Fnv::new();
+    h.u64(hash_outcome(adapted, &pred));
+    h.u64(artifact.rank as u64);
+    h.f64(artifact.alpha);
+    for (&(rows, cols), values) in artifact.shapes.iter().zip(&artifact.values) {
+        h.u64(rows as u64);
+        h.u64(cols as u64);
+        h.slice(values);
+    }
+    (calib_hash, h.0)
+}
+
+/// The PDR TCN through the delta session: every `Conv1d` kernel size the
+/// TCN uses (k = 3 at dilations 1 and 2, the k = 1 downsample) runs its
+/// forward, MC-dropout and backward, plain and with adapters, so the hash
+/// pins the conv kernels' bits end to end.
+#[test]
+fn golden_tcn_adapt_delta_path() {
+    let one = at_threads(1, run_tcn_scenario);
+    let four = at_threads(4, run_tcn_scenario);
+    let default = run_tcn_scenario();
+    assert_eq!(one, four, "1 vs 4 threads");
+    assert_eq!(one, default, "1 vs default threads");
+    assert_eq!(
+        one, GOLDEN_TCN,
+        "golden hash drifted — the conv kernels changed observable f64 bits \
+         (got ({:#018x}, {:#018x}))",
+        one.0, one.1
+    );
+}
+
 /// The two degenerate splits abort adaptation with typed, recoverable
 /// errors and leave the model bit-identical, at every thread count.
 #[test]
@@ -285,3 +408,6 @@ fn golden_hash_unchanged_with_tracing_enabled() {
 const GOLDEN_1D: (u64, u64) = (0xb7345d5c220c3d75, 0xfced5561f52c176e);
 const GOLDEN_JOINT_2D: (u64, u64) = (0x191871068b8c9bc6, 0xc63b92eb247e7821);
 const GOLDEN_PER_DIM_2D: (u64, u64) = (0x191871068b8c9bc6, 0x5f0c410d78b3fc34);
+// Captured with the k = 3 fused loops and the naive k ≠ 3 fallback that
+// preceded the register-tiled conv kernel.
+const GOLDEN_TCN: (u64, u64) = (0x74505b32e250b21f, 0xf5bab57290ef8e56);

@@ -9,6 +9,13 @@
 //! microkernel streams both with unit stride regardless of the original
 //! layout (which is how the transposed variants reuse the same core).
 //!
+//! Conv1d runs every kernel size and dilation on one register tile. The
+//! forward and `grad_input` are per-row GEMMs whose B rows are read
+//! straight from the input (or gradient) row through a tap table — an
+//! implicit im2col — with vector lanes across the tile's time columns; the
+//! weight gradient is one [`micro_full`] GEMM per row and tap over the
+//! row's input and gradient packed into panels.
+//!
 //! ## Bit-identity
 //!
 //! Blocking over `k` is the only transformation that could re-associate the
@@ -19,9 +26,16 @@
 //! Fused multiply-add is never used (Rust does not contract `a*b + c`
 //! without an explicit `mul_add`), so every partial equals the naive
 //! kernel's register value at the same point and the final bits match
-//! [`CpuNaive`](super::CpuNaive) exactly. The same reasoning covers the
-//! fused k=3 conv loops: taps are combined left-associatively in ascending
-//! tap order, the exact per-element order of the naive tap-sweep.
+//! [`CpuNaive`](super::CpuNaive) exactly. The conv tile keeps the naive
+//! per-element sequence the same way: each lane starts from the naive seed
+//! (the bias, the zeroed `grad_input`, or `0.0` for a weight-gradient
+//! chain) and adds its products one multiply and one add at a time in the
+//! naive order — `(c, tap)` c-major for the forward, `(o, tap)` o-major for
+//! `grad_input`, ascending `u` for the weight gradient. At the causal edges
+//! (the forward's first `(k−1)·dil` steps, `grad_input`'s last) a tile runs
+//! over the in-range taps only: it never adds a product with the zero
+//! padding, which would turn a `−0.0` sum into `+0.0` and an `inf` weight
+//! into NaN where the naive kernel skips the tap.
 //!
 //! ## Memory discipline
 //!
@@ -383,72 +397,310 @@ fn gemm_blocked(
     });
 }
 
-/// Fused causal conv forward specialised for `kernel == 3` (the TCN's
-/// shape): one sweep per `(o, c)` pair applies all three taps to each
-/// output element instead of three separate tap sweeps. Tap contributions
-/// combine left-associatively in ascending tap order — exactly the naive
-/// per-element order — so the result is bit-identical. The time axis splits
-/// at the causal boundaries `dil` and `2·dil` (below which the older taps
-/// read zero-padding and are skipped).
-fn conv1d_forward_k3(
+/// Rows of the conv register tile: output channels in the forward, input
+/// channels in `grad_input` and the weight gradient.
+const CONV_MR: usize = 8;
+/// Widest conv tile: time steps in the forward and `grad_input`, output
+/// channels in the weight gradient.
+const CONV_NR: usize = 8;
+
+/// One reduction step of a conv tile: the `CONV_MR` packed weights at `a`
+/// in the panel times the `NR` values at `b` in the source row. A table of
+/// these is the implicit im2col: the B operand is never materialised.
+struct Tap {
+    a: usize,
+    b: usize,
+}
+
+/// Output columns `lo..hi` that share one set of in-range taps, listed in
+/// `taps` with B offsets relative to `lo`: a tile at column `t` reads the
+/// source row from `t - lo`.
+struct ColGroup {
+    lo: usize,
+    hi: usize,
+    taps: std::ops::Range<usize>,
+}
+
+/// One conv call's operands, built once on the calling thread and shared
+/// read-only with every row chunk: the weights packed into `CONV_MR`-row
+/// panels (p-major, rows past the matrix zero-padded), the tap table and
+/// the column groups that index it.
+struct ConvPlan {
+    a: Vec<f64>,
+    panel_len: usize,
+    taps: Vec<Tap>,
+    groups: Vec<ColGroup>,
+}
+
+impl ConvPlan {
+    /// Packs the `m × (n·k)` matrix `A(row, j·k + tap) = w[row·rs + j·js +
+    /// tap]` into panels and clears the tables.
+    fn reset(&mut self, w: &[f64], m: usize, n: usize, k: usize, rs: usize, js: usize) {
+        self.panel_len = n * k * CONV_MR;
+        self.a.clear();
+        self.a.resize(m.div_ceil(CONV_MR) * self.panel_len, 0.0);
+        for (pi, panel) in self.a.chunks_exact_mut(self.panel_len).enumerate() {
+            for r in 0..CONV_MR.min(m - pi * CONV_MR) {
+                let w_r = &w[(pi * CONV_MR + r) * rs..];
+                for j in 0..n {
+                    for tap in 0..k {
+                        panel[(j * k + tap) * CONV_MR + r] = w_r[j * js + tap];
+                    }
+                }
+            }
+        }
+        self.taps.clear();
+        self.groups.clear();
+    }
+
+    /// Adds the column group `lo..hi` (skipped when empty) with its taps.
+    fn group(&mut self, lo: usize, hi: usize, taps: impl Iterator<Item = Tap>) {
+        if lo < hi {
+            let start = self.taps.len();
+            self.taps.extend(taps);
+            self.groups.push(ColGroup {
+                lo,
+                hi,
+                taps: start..self.taps.len(),
+            });
+        }
+    }
+
+    /// The forward as a per-row GEMM: `out(o, t) = bias(o) + Σ_p W(o, p) ·
+    /// x(c, t − back(tap))` over `p = (c, tap)` in c-major order. Group `j`
+    /// of the causal head (`t ∈ [j·dil, (j+1)·dil)`) keeps only the taps
+    /// `tap ≥ k−1−j` whose input is in range; the last group is the
+    /// interior `t ≥ (k−1)·dil`, where every tap is.
+    fn forward(&mut self, geo: &Conv1dGeometry, w: &[f64]) {
+        let (t_len, k, dil, in_ch) = (geo.time_len, geo.kernel, geo.dilation, geo.in_ch);
+        self.reset(w, geo.out_ch, in_ch, k, in_ch * k, k);
+        for j in 0..k {
+            let (lo, hi) = if j + 1 < k {
+                (j * dil, ((j + 1) * dil).min(t_len))
+            } else {
+                ((k - 1) * dil, t_len)
+            };
+            let taps = (0..in_ch).flat_map(|c| {
+                (k - 1 - j..k).map(move |tap| Tap {
+                    a: (c * k + tap) * CONV_MR,
+                    b: c * t_len + lo - (k - 1 - tap) * dil,
+                })
+            });
+            self.group(lo, hi, taps);
+        }
+    }
+
+    /// `grad_input` as the same GEMM: `gx(c, u) = Σ_q W(o, c, tap) ·
+    /// g(o, u + back(tap))` over `q = (o, tap)` in o-major order. Group `j`
+    /// of the tail (`u ∈ [T − (j+1)·dil, T − j·dil)`) keeps the taps
+    /// `tap ≥ k−1−j` whose gradient is in range; the last group is the
+    /// interior `u < T − (k−1)·dil`.
+    fn grad_input(&mut self, geo: &Conv1dGeometry, w: &[f64]) {
+        let (t_len, k, dil) = (geo.time_len, geo.kernel, geo.dilation);
+        let (in_ch, out_ch) = (geo.in_ch, geo.out_ch);
+        self.reset(w, in_ch, out_ch, k, k, in_ch * k);
+        for j in 0..k {
+            let (lo, hi) = if j + 1 < k {
+                (
+                    t_len.saturating_sub((j + 1) * dil),
+                    t_len.saturating_sub(j * dil),
+                )
+            } else {
+                (0, t_len.saturating_sub((k - 1) * dil))
+            };
+            let taps = (0..out_ch).flat_map(|o| {
+                (k - 1 - j..k).map(move |tap| Tap {
+                    a: (o * k + tap) * CONV_MR,
+                    b: o * t_len + lo + (k - 1 - tap) * dil,
+                })
+            });
+            self.group(lo, hi, taps);
+        }
+    }
+
+    /// Runs the plan over one batch row: `dst` is the `m × t_len` output
+    /// row, already holding each element's seed (the bias, or the zeroed
+    /// `grad_input`), and `src` the row the taps read. Every column group
+    /// is cut into tiles of 8, 4, 2 and 1 columns, so each element is
+    /// computed once and no tile reads past its group.
+    fn sweep(&self, m: usize, t_len: usize, src: &[f64], dst: &mut [f64]) {
+        for (pi, panel) in self.a.chunks_exact(self.panel_len).enumerate() {
+            let rows = CONV_MR.min(m - pi * CONV_MR);
+            let dst = &mut dst[pi * CONV_MR * t_len..];
+            for g in &self.groups {
+                let taps = &self.taps[g.taps.clone()];
+                let mut t = g.lo;
+                while t < g.hi {
+                    let (b, c) = (&src[t - g.lo..], &mut dst[t..]);
+                    t += match g.hi - t {
+                        8.. => conv_tile::<8>(panel, taps, b, c, t_len, rows),
+                        4..=7 => conv_tile::<4>(panel, taps, b, c, t_len, rows),
+                        2 | 3 => conv_tile::<2>(panel, taps, b, c, t_len, rows),
+                        _ => conv_tile::<1>(panel, taps, b, c, t_len, rows),
+                    };
+                }
+            }
+        }
+    }
+}
+
+thread_local! {
+    /// Per-thread conv plan, grown on first use and retained.
+    static CONV_PLAN: RefCell<ConvPlan> = const {
+        RefCell::new(ConvPlan {
+            a: Vec::new(),
+            panel_len: 0,
+            taps: Vec::new(),
+            groups: Vec::new(),
+        })
+    };
+    /// Per-thread weight-gradient row panels (input, grad), grown on first
+    /// use and retained.
+    static CONV_ROW_BUFS: RefCell<(Vec<f64>, Vec<f64>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The conv register tile: `CONV_MR` rows × `NR` time columns, one
+/// accumulator lane per output element. The lanes load their seeds from C,
+/// run the taps in table order — one multiply, then one add, per tap, the
+/// naive kernel's per-element sequence — and store back the `rows` valid
+/// rows (panel rows past the matrix compute on zero weights and are
+/// dropped). Returns `NR`, the columns it covered.
+///
+/// `inline(never)` for the reason given on [`micro_full`]: as one
+/// standalone symbol per width the tile keeps its accumulators in vector
+/// registers (`vmulpd`/`vaddpd` across the `NR` lanes).
+#[inline(never)]
+fn conv_tile<const NR: usize>(
+    a_panel: &[f64],
+    taps: &[Tap],
+    b: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    rows: usize,
+) -> usize {
+    let mut acc = [[0.0f64; NR]; CONV_MR];
+    for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
+        acc_r.copy_from_slice(&c[r * ldc..r * ldc + NR]);
+    }
+    for tap in taps {
+        let ap = &a_panel[tap.a..tap.a + CONV_MR];
+        let bp = &b[tap.b..tap.b + NR];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let ar = ap[r];
+            for (j, acc_v) in acc_r.iter_mut().enumerate() {
+                *acc_v += ar * bp[j];
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate().take(rows) {
+        c[r * ldc..r * ldc + NR].copy_from_slice(acc_r);
+    }
+    NR
+}
+
+/// Packs the `m × t_len` row `src` into `lanes`-row panels, t-major:
+/// `dst[panel·(t_len·lanes) + t·lanes + r] = src[(panel·lanes + r)·t_len + t]`,
+/// zero-padded past row `m`.
+fn pack_time_major(dst: &mut Vec<f64>, src: &[f64], m: usize, t_len: usize, lanes: usize) {
+    dst.clear();
+    dst.resize(m.div_ceil(lanes) * t_len * lanes, 0.0);
+    for (row, src_row) in src.chunks_exact(t_len).enumerate() {
+        let panel = &mut dst[(row / lanes) * t_len * lanes..];
+        for (t, &v) in src_row.iter().enumerate() {
+            panel[t * lanes + row % lanes] = v;
+        }
+    }
+}
+
+/// One row's weight gradient, added into the chunk partial `dw_t` (stored
+/// transposed, `[(c·k + tap)·out_ch + o]`). Per tap it is the GEMM
+/// `Σ_u x(c, u) · g(o, u + back(tap))` over `u ∈ [0, T − back(tap))`, run
+/// by [`micro_full`] with input channels as rows and output channels as
+/// lanes: each `(o, c, tap)` chain starts at 0.0 and runs in ascending `u`,
+/// then is added to the partial, as in the naive kernel.
+fn conv_dw_row(
+    geo: &Conv1dGeometry,
+    x_row: &[f64],
+    g_row: &[f64],
+    bufs: &mut (Vec<f64>, Vec<f64>),
+    dw_t: &mut [f64],
+) {
+    let (t_len, k, dil) = (geo.time_len, geo.kernel, geo.dilation);
+    let (in_ch, out_ch) = (geo.in_ch, geo.out_ch);
+    let (xp, gp) = bufs;
+    pack_time_major(xp, x_row, in_ch, t_len, CONV_MR);
+    pack_time_major(gp, g_row, out_ch, t_len, CONV_NR);
+    let mut tile = [0.0f64; CONV_MR * CONV_NR];
+    for tap in 0..k {
+        let back = ((k - 1 - tap) * dil).min(t_len);
+        let kc = t_len - back;
+        for (cp, x_panel) in xp.chunks_exact(t_len * CONV_MR).enumerate() {
+            let c0 = cp * CONV_MR;
+            for (op, g_panel) in gp.chunks_exact(t_len * CONV_NR).enumerate() {
+                let o0 = op * CONV_NR;
+                micro_full::<CONV_MR, CONV_NR>(
+                    kc,
+                    x_panel,
+                    &g_panel[back * CONV_NR..],
+                    &mut tile,
+                    CONV_NR,
+                    true,
+                );
+                let cols = CONV_NR.min(out_ch - o0);
+                for (r, tile_r) in tile.chunks_exact(CONV_NR).take(in_ch - c0).enumerate() {
+                    let dst = &mut dw_t[((c0 + r) * k + tap) * out_ch + o0..][..cols];
+                    for (d, &v) in dst.iter_mut().zip(tile_r) {
+                        *d += v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Causal conv forward on the conv tile (see [`ConvPlan::forward`]).
+/// Parallel over row chunks; each row is seeded with the bias and swept
+/// with the plan built once for the call.
+fn conv1d_forward_tiled(
     geo: &Conv1dGeometry,
     input: &Tensor,
     w: &[f64],
     bias: &[f64],
     out: &mut Tensor,
 ) {
-    debug_assert_eq!(geo.kernel, 3);
-    let (t_len, dil) = (geo.time_len, geo.dilation);
-    let (in_ch, out_ch) = (geo.in_ch, geo.out_ch);
+    let (t_len, out_ch) = (geo.time_len, geo.out_ch);
     let out_width = geo.output_width();
-    let back1 = dil;
-    let back0 = 2 * dil;
-    let rows_per_chunk = kernel_rows_per_chunk(input.rows(), 2 * out_ch * in_ch * 3 * t_len);
-    crate::parallel::for_each_row_chunk(
-        out.as_mut_slice(),
-        out_width,
-        rows_per_chunk,
-        |rows, chunk| {
-            for (local, r) in rows.clone().enumerate() {
-                let x_row = input.row(r);
-                let y_row = &mut chunk[local * out_width..(local + 1) * out_width];
-                for o in 0..out_ch {
-                    let w_o = &w[o * in_ch * 3..(o + 1) * in_ch * 3];
-                    let y_o = &mut y_row[o * t_len..(o + 1) * t_len];
-                    y_o.fill(bias[o]);
-                    for c in 0..in_ch {
-                        let x_c = &x_row[c * t_len..(c + 1) * t_len];
-                        let (w0, w1, w2) = (w_o[c * 3], w_o[c * 3 + 1], w_o[c * 3 + 2]);
-                        let mut t = 0;
-                        while t < back1.min(t_len) {
-                            y_o[t] += w2 * x_c[t];
-                            t += 1;
-                        }
-                        while t < back0.min(t_len) {
-                            y_o[t] = y_o[t] + w1 * x_c[t - back1] + w2 * x_c[t];
-                            t += 1;
-                        }
-                        while t < t_len {
-                            y_o[t] =
-                                y_o[t] + w0 * x_c[t - back0] + w1 * x_c[t - back1] + w2 * x_c[t];
-                            t += 1;
-                        }
+    let flops_per_row = 2 * out_ch * geo.in_ch * geo.kernel * t_len;
+    let rows_per_chunk = kernel_rows_per_chunk(input.rows(), flops_per_row);
+    CONV_PLAN.with(|plan| {
+        let mut plan = plan.borrow_mut();
+        plan.forward(geo, w);
+        let plan = &*plan;
+        crate::parallel::for_each_row_chunk(
+            out.as_mut_slice(),
+            out_width,
+            rows_per_chunk,
+            |rows, chunk| {
+                for (r, y_row) in rows.zip(chunk.chunks_exact_mut(out_width)) {
+                    for (y_o, &b) in y_row.chunks_exact_mut(t_len).zip(bias) {
+                        y_o.fill(b);
                     }
+                    plan.sweep(out_ch, t_len, input.row(r), y_row);
                 }
-            }
-        },
-    );
+            },
+        );
+    });
 }
 
-/// Fused causal conv backward specialised for `kernel == 3`: one ascending
-/// sweep per `(o, c)` pair carries three weight-gradient register
-/// accumulators (one per tap — each an ascending chain exactly matching the
-/// naive per-tap sweep) and applies all three taps to each `grad_input`
-/// element in ascending tap order. Chunking, aux layout (`dw ++ db`), and
-/// the chunk-order combine are identical to the naive kernel, so the
-/// gradients are bit-identical for any thread count.
+/// Causal conv backward: `grad_input` on the conv tile (see
+/// [`ConvPlan::grad_input`]), the weight gradient through
+/// [`conv_dw_row`], and the bias gradient as the naive row sums. Chunking
+/// (8 rows), the per-chunk `dw ++ db` partials and their chunk-order
+/// combine are the naive kernel's, so the gradients are bit-identical for
+/// any thread count.
 #[allow(clippy::too_many_arguments)]
-fn conv1d_backward_k3(
+fn conv1d_backward_tiled(
     geo: &Conv1dGeometry,
     input: &Tensor,
     grad_output: &Tensor,
@@ -458,79 +710,46 @@ fn conv1d_backward_k3(
     grad_input: &mut Tensor,
     scratch: &mut Scratch,
 ) {
-    debug_assert_eq!(geo.kernel, 3);
-    let (t_len, dil) = (geo.time_len, geo.dilation);
+    let (t_len, k) = (geo.time_len, geo.kernel);
     let (in_ch, out_ch) = (geo.in_ch, geo.out_ch);
     let in_width = geo.input_width();
-    let n_rows = input.rows();
-    let back1 = dil;
-    let back0 = 2 * dil;
 
     const ROWS_PER_CHUNK: usize = 8;
-    let n_chunks = crate::parallel::chunk_count(n_rows, ROWS_PER_CHUNK);
+    let n_chunks = crate::parallel::chunk_count(input.rows(), ROWS_PER_CHUNK);
     let aux_per_chunk = w.len() + out_ch;
     let mut aux = scratch.take_vec(n_chunks * aux_per_chunk);
-    crate::parallel::for_each_row_chunk_with_aux(
-        grad_input.as_mut_slice(),
-        in_width,
-        ROWS_PER_CHUNK,
-        &mut aux,
-        aux_per_chunk,
-        |rows, gx_chunk, partial| {
-            let (dw_local, db_local) = partial.split_at_mut(w.len());
-            for (local, r) in rows.enumerate() {
-                let x_row = input.row(r);
-                let g_row = grad_output.row(r);
-                let gx_row = &mut gx_chunk[local * in_width..(local + 1) * in_width];
-                for o in 0..out_ch {
-                    let g_o = &g_row[o * t_len..(o + 1) * t_len];
-                    db_local[o] += g_o.iter().sum::<f64>();
-                    for c in 0..in_ch {
-                        let x_c = &x_row[c * t_len..(c + 1) * t_len];
-                        let gx_c = &mut gx_row[c * t_len..(c + 1) * t_len];
-                        let widx = o * in_ch * 3 + c * 3;
-                        let (w0, w1, w2) = (w[widx], w[widx + 1], w[widx + 2]);
-                        let (mut dw0, mut dw1, mut dw2) = (0.0f64, 0.0f64, 0.0f64);
-                        // `u` indexes the *input* position; tap `i` pairs it
-                        // with grad element `u + back_i` while in range.
-                        let lim0 = t_len.saturating_sub(back0);
-                        let lim1 = t_len.saturating_sub(back1);
-                        let mut u = 0;
-                        while u < lim0 {
-                            let (g0, g1, g2) = (g_o[u + back0], g_o[u + back1], g_o[u]);
-                            let x = x_c[u];
-                            dw0 += g0 * x;
-                            dw1 += g1 * x;
-                            dw2 += g2 * x;
-                            gx_c[u] = gx_c[u] + g0 * w0 + g1 * w1 + g2 * w2;
-                            u += 1;
+    CONV_PLAN.with(|plan| {
+        let mut plan = plan.borrow_mut();
+        plan.grad_input(geo, w);
+        let plan = &*plan;
+        crate::parallel::for_each_row_chunk_with_aux(
+            grad_input.as_mut_slice(),
+            in_width,
+            ROWS_PER_CHUNK,
+            &mut aux,
+            aux_per_chunk,
+            |rows, gx_chunk, partial| {
+                let (dw_t, db_local) = partial.split_at_mut(w.len());
+                CONV_ROW_BUFS.with(|bufs| {
+                    let bufs = &mut *bufs.borrow_mut();
+                    for (r, gx_row) in rows.zip(gx_chunk.chunks_exact_mut(in_width)) {
+                        let g_row = grad_output.row(r);
+                        plan.sweep(in_ch, t_len, g_row, gx_row);
+                        for (acc, g_o) in db_local.iter_mut().zip(g_row.chunks_exact(t_len)) {
+                            *acc += g_o.iter().sum::<f64>();
                         }
-                        while u < lim1 {
-                            let (g1, g2) = (g_o[u + back1], g_o[u]);
-                            let x = x_c[u];
-                            dw1 += g1 * x;
-                            dw2 += g2 * x;
-                            gx_c[u] = gx_c[u] + g1 * w1 + g2 * w2;
-                            u += 1;
-                        }
-                        while u < t_len {
-                            let g2 = g_o[u];
-                            dw2 += g2 * x_c[u];
-                            gx_c[u] += g2 * w2;
-                            u += 1;
-                        }
-                        dw_local[widx] += dw0;
-                        dw_local[widx + 1] += dw1;
-                        dw_local[widx + 2] += dw2;
+                        conv_dw_row(geo, input.row(r), g_row, bufs, dw_t);
                     }
-                }
-            }
-        },
-    );
+                });
+            },
+        );
+    });
     for partial in aux.chunks_exact(aux_per_chunk) {
-        let (dw_local, db_local) = partial.split_at(w.len());
-        for (acc, v) in dw.iter_mut().zip(dw_local) {
-            *acc += v;
+        let (dw_t, db_local) = partial.split_at(w.len());
+        for (o, dw_o) in dw.chunks_exact_mut(in_ch * k).enumerate() {
+            for (ct, acc) in dw_o.iter_mut().enumerate() {
+                *acc += dw_t[ct * out_ch + o];
+            }
         }
         for (acc, v) in db.iter_mut().zip(db_local) {
             *acc += v;
@@ -582,11 +801,7 @@ impl Backend for CpuBlocked {
         bias: &[f64],
         out: &mut Tensor,
     ) {
-        if geo.kernel == 3 {
-            conv1d_forward_k3(geo, input, w, bias, out);
-        } else {
-            naive::conv1d_forward(geo, input, w, bias, out);
-        }
+        conv1d_forward_tiled(geo, input, w, bias, out);
     }
 
     fn conv1d_backward(
@@ -600,11 +815,7 @@ impl Backend for CpuBlocked {
         grad_input: &mut Tensor,
         scratch: &mut Scratch,
     ) {
-        if geo.kernel == 3 {
-            conv1d_backward_k3(geo, input, grad_output, w, dw, db, grad_input, scratch);
-        } else {
-            naive::conv1d_backward(geo, input, grad_output, w, dw, db, grad_input, scratch);
-        }
+        conv1d_backward_tiled(geo, input, grad_output, w, dw, db, grad_input, scratch);
     }
 }
 
@@ -777,73 +988,75 @@ mod tests {
     }
 
     #[test]
-    fn conv_k3_bits_match_naive_across_dilations() {
+    fn conv_bits_match_naive_for_every_kernel_size() {
         let blocked = CpuBlocked::default();
         let mut rng = Rng::new(46);
-        // Include dilations that push the causal boundary past t_len.
-        for (t_len, dil) in [(20, 1), (20, 2), (20, 4), (5, 3), (3, 2), (2, 5)] {
-            let geo = Conv1dGeometry {
-                in_ch: 4,
-                out_ch: 6,
-                kernel: 3,
-                dilation: dil,
-                time_len: t_len,
-            };
-            let batch = 9;
-            let input = Tensor::from_vec(
-                batch,
-                geo.input_width(),
-                fill_seq(batch * geo.input_width(), &mut rng),
-            );
-            let w = fill_seq(geo.weight_len(), &mut rng);
-            let bias = fill_seq(geo.out_ch, &mut rng);
-            let mut got = Tensor::zeros(batch, geo.output_width());
-            let mut want = Tensor::zeros(batch, geo.output_width());
-            blocked.conv1d_forward(&geo, &input, &w, &bias, &mut got);
-            naive::conv1d_forward(&geo, &input, &w, &bias, &mut want);
-            assert_bits_eq(
-                got.as_slice(),
-                want.as_slice(),
-                &format!("conv fwd t={t_len} d={dil}"),
-            );
+        // Every kernel size and dilation up to 5 (so every causal head and
+        // tail group), windows shorter than the causal reach, channel counts
+        // off and across the 8-row register panel, batches across the 8-row
+        // backward chunk, and gradients accumulated onto non-zero `dw`/`db`.
+        for kernel in 1..=5 {
+            for dil in 1..=5 {
+                for (t_len, in_ch, out_ch, batch) in [(20, 4, 6, 9), (3, 11, 17, 17), (13, 8, 1, 3)]
+                {
+                    let geo = Conv1dGeometry {
+                        in_ch,
+                        out_ch,
+                        kernel,
+                        dilation: dil,
+                        time_len: t_len,
+                    };
+                    let what = format!("k={kernel} d={dil} t={t_len} {in_ch}->{out_ch} b={batch}");
+                    let input = Tensor::from_vec(
+                        batch,
+                        geo.input_width(),
+                        fill_seq(batch * geo.input_width(), &mut rng),
+                    );
+                    let w = fill_seq(geo.weight_len(), &mut rng);
+                    let bias = fill_seq(geo.out_ch, &mut rng);
+                    let mut got = Tensor::zeros(batch, geo.output_width());
+                    let mut want = Tensor::zeros(batch, geo.output_width());
+                    blocked.conv1d_forward(&geo, &input, &w, &bias, &mut got);
+                    naive::conv1d_forward(&geo, &input, &w, &bias, &mut want);
+                    assert_bits_eq(got.as_slice(), want.as_slice(), &format!("fwd {what}"));
 
-            let grad_out = Tensor::from_vec(
-                batch,
-                geo.output_width(),
-                fill_seq(batch * geo.output_width(), &mut rng),
-            );
-            let mut scratch = Scratch::new();
-            let (mut dw_g, mut db_g) = (vec![0.0; geo.weight_len()], vec![0.0; geo.out_ch]);
-            let (mut dw_w, mut db_w) = (vec![0.0; geo.weight_len()], vec![0.0; geo.out_ch]);
-            let mut gx_g = Tensor::zeros(batch, geo.input_width());
-            let mut gx_w = Tensor::zeros(batch, geo.input_width());
-            blocked.conv1d_backward(
-                &geo,
-                &input,
-                &grad_out,
-                &w,
-                &mut dw_g,
-                &mut db_g,
-                &mut gx_g,
-                &mut scratch,
-            );
-            naive::conv1d_backward(
-                &geo,
-                &input,
-                &grad_out,
-                &w,
-                &mut dw_w,
-                &mut db_w,
-                &mut gx_w,
-                &mut scratch,
-            );
-            assert_bits_eq(&dw_g, &dw_w, &format!("conv dw t={t_len} d={dil}"));
-            assert_bits_eq(&db_g, &db_w, &format!("conv db t={t_len} d={dil}"));
-            assert_bits_eq(
-                gx_g.as_slice(),
-                gx_w.as_slice(),
-                &format!("conv gx t={t_len} d={dil}"),
-            );
+                    let grad_out = Tensor::from_vec(
+                        batch,
+                        geo.output_width(),
+                        fill_seq(batch * geo.output_width(), &mut rng),
+                    );
+                    let mut scratch = Scratch::new();
+                    let dw0 = fill_seq(geo.weight_len(), &mut rng);
+                    let db0 = fill_seq(geo.out_ch, &mut rng);
+                    let (mut dw_g, mut db_g) = (dw0.clone(), db0.clone());
+                    let (mut dw_w, mut db_w) = (dw0, db0);
+                    let mut gx_g = Tensor::zeros(batch, geo.input_width());
+                    let mut gx_w = Tensor::zeros(batch, geo.input_width());
+                    blocked.conv1d_backward(
+                        &geo,
+                        &input,
+                        &grad_out,
+                        &w,
+                        &mut dw_g,
+                        &mut db_g,
+                        &mut gx_g,
+                        &mut scratch,
+                    );
+                    naive::conv1d_backward(
+                        &geo,
+                        &input,
+                        &grad_out,
+                        &w,
+                        &mut dw_w,
+                        &mut db_w,
+                        &mut gx_w,
+                        &mut scratch,
+                    );
+                    assert_bits_eq(&dw_g, &dw_w, &format!("dw {what}"));
+                    assert_bits_eq(&db_g, &db_w, &format!("db {what}"));
+                    assert_bits_eq(gx_g.as_slice(), gx_w.as_slice(), &format!("gx {what}"));
+                }
+            }
         }
     }
 }

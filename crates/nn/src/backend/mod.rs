@@ -13,8 +13,8 @@
 //!   against.
 //! * [`CpuBlocked`] — cache-blocked loop nests driven by an explicit
 //!   [`TilingScheme`], with A/B panel packing into persistent thread-local
-//!   buffers, a register-tiled `mr×nr` microkernel, and a kernel-size-
-//!   specialised (k = 3) conv1d inner loop.
+//!   buffers, a register-tiled `mr×nr` microkernel, and a register-tiled
+//!   conv1d kernel for every kernel size and dilation.
 //!
 //! ## Bit-identity contract
 //!

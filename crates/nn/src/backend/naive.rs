@@ -186,9 +186,10 @@ pub(super) fn matmul_t_into(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], 
 ///
 /// Batch rows are independent, so the kernel parallelises over output rows;
 /// per-row arithmetic order never changes, keeping results bit-identical for
-/// any thread count. Per output element, taps accumulate in ascending tap
-/// order on top of the bias — the order [`CpuBlocked`](super::CpuBlocked)'s
-/// fused k=3 loop reproduces exactly.
+/// any thread count. Per output element, products accumulate on top of the
+/// bias in `(c, tap)` order, c-major, skipping the taps that would read
+/// before the window — the per-element sequence each vector lane of
+/// [`CpuBlocked`](super::CpuBlocked)'s conv tile reproduces exactly.
 pub(super) fn conv1d_forward(
     geo: &Conv1dGeometry,
     input: &Tensor,

@@ -5,9 +5,9 @@
 //! same architecture family as RoNIN's TCN backbone that the paper adapts.
 //!
 //! The convolutional inner loops run on the active compute backend
-//! ([`crate::backend`]); with kernel size 3 — this block's shape — the
-//! blocked backend takes its fused three-tap path, bit-identical to the
-//! reference kernels.
+//! ([`crate::backend`]); the blocked backend runs every conv of the block,
+//! the 1×1 downsample included, on its register-tiled conv kernel,
+//! bit-identical to the reference kernels.
 
 use super::{Conv1d, Dropout, Layer, McContext, Mode, Param, Relu, SegmentedContext};
 use crate::rng::Rng;

@@ -118,12 +118,21 @@ fn tcn_train_step_is_allocation_free_after_warmup() {
     let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_threads(1);
 
+    // The PDR shape: a 6→16 block (two 8-row register panels of output
+    // channels, plus the k = 1 downsample) and a 16→16 dilation-2 block
+    // over T = 20, with rank-4 adapters so every conv runs the `W_eff` path.
     let mut rng = Rng::new(2);
     let mut model = Sequential::new()
-        .add(TcnBlock::new(2, 4, 3, 1, 10, 0.1, &mut rng))
-        .add(Dense::new(40, 2, Init::XavierUniform, &mut rng));
+        .add(TcnBlock::new(6, 16, 3, 1, 20, 0.1, &mut rng))
+        .add(TcnBlock::new(16, 16, 3, 2, 20, 0.1, &mut rng))
+        .add(GlobalAvgPool1d::new(16, 20))
+        .add(Dense::new(16, 2, Init::XavierUniform, &mut rng));
+    assert_eq!(
+        enable_adapters(&mut model, &AdapterConfig::rank(4), &mut rng),
+        6
+    );
     let mut opt = Sgd::with_options(0.01, 0.9, 1e-4);
-    let x = Tensor::rand_normal(16, 20, 0.0, 1.0, &mut rng);
+    let x = Tensor::rand_normal(16, 6 * 20, 0.0, 1.0, &mut rng);
     let y = Tensor::rand_normal(16, 2, 0.0, 1.0, &mut rng);
     let mut scratch = Scratch::new();
 

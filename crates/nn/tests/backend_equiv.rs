@@ -116,19 +116,85 @@ fn addmm_scaled_bits_match_across_backends() {
     }
 }
 
+/// Bit equality where any NaN matches any NaN (payloads are not part of the
+/// contract); everything else, signed zeros included, must match exactly.
+fn assert_bits_eq_nan(a: &Tensor, b: &Tensor, what: &str) {
+    assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
+    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{what}: bit mismatch at {i}: {x:e} vs {y:e}"
+        );
+    }
+}
+
+/// A value drawn to stress the conv kernels' edge arithmetic: mostly
+/// normals, with `-0.0`/`+0.0` (a padded product would flip a `-0.0` sum
+/// to `+0.0`), subnormals, and, at rate `p_inf`, `±inf` (a padded
+/// `inf·0` would turn a skipped tap into NaN).
+fn edge_value(rng: &mut Rng, p_zero: f64, p_inf: f64) -> f64 {
+    let u = rng.uniform(0.0, 1.0);
+    let sign = if rng.bernoulli(0.5) { -1.0 } else { 1.0 };
+    if u < p_zero {
+        sign * 0.0
+    } else if u < p_zero + 0.05 {
+        sign * rng.uniform(0.0, 1.0) * 2e-310
+    } else if u < p_zero + 0.05 + p_inf {
+        sign * f64::INFINITY
+    } else {
+        rng.gaussian(0.0, 1.0)
+    }
+}
+
+fn edge_tensor(rows: usize, cols: usize, rng: &mut Rng, p_zero: f64, p_inf: f64) -> Tensor {
+    let v = (0..rows * cols)
+        .map(|_| edge_value(rng, p_zero, p_inf))
+        .collect();
+    Tensor::from_vec(rows, cols, v)
+}
+
 #[test]
 fn conv_layers_bits_match_across_backends() {
+    use tasfar_nn::adapter::AdapterConfig;
     use tasfar_nn::layers::{Conv1d, Layer, Mode};
     let _g = lock();
     // Forward + backward through the Conv1d layer (the dispatch path the
-    // TCN takes), across kernel sizes on and off the fused k=3 path.
-    for (kernel, dilation) in [(1, 1), (2, 3), (3, 1), (3, 4), (5, 2)] {
+    // TCN takes) over random geometries: channels past one register panel,
+    // every kernel size and dilation, causal reach at or past the window
+    // (`(k-1)·dil >= T`), batches across the 8-row backward chunk, and
+    // adapters on and off (the `W_eff` path).
+    let mut cases = Rng::new(0xBE04);
+    for case in 0..160 {
+        let in_ch = 1 + cases.below(20);
+        let out_ch = 1 + cases.below(20);
+        let kernel = 1 + cases.below(5);
+        let dilation = 1 + cases.below(5);
+        let t_len = 1 + cases.below(40);
+        let batch = 1 + cases.below(70);
+        let adapters = cases.bernoulli(0.3);
+        // Every third case is zero-heavy (signed zeros everywhere, the
+        // bias included); every fifth carries infinities.
+        let p_zero = if case % 3 == 0 { 0.5 } else { 0.05 };
+        let p_inf = if case % 5 == 0 { 0.01 } else { 0.0 };
+        let seed = cases.u64();
         let run = || {
-            let mut rng = Rng::new(0xBE04);
-            let mut conv = Conv1d::new(3, 5, kernel, dilation, 16, &mut rng);
-            let x = Tensor::rand_normal(7, 3 * 16, 0.0, 1.0, &mut rng);
+            let mut rng = Rng::new(seed);
+            let mut conv = Conv1d::new(in_ch, out_ch, kernel, dilation, t_len, &mut rng);
+            conv.visit_base_params(&mut |p| {
+                let (r, c) = p.value.shape();
+                p.value = edge_tensor(r, c, &mut rng, p_zero, p_inf);
+            });
+            if adapters {
+                conv.attach_adapters(&AdapterConfig::rank(1 + rng.below(4)), &mut rng);
+                conv.visit_params(&mut |p| {
+                    let (r, c) = p.value.shape();
+                    p.value = edge_tensor(r, c, &mut rng, p_zero, 0.0);
+                });
+            }
+            let x = edge_tensor(batch, in_ch * t_len, &mut rng, p_zero, p_inf);
+            let g = edge_tensor(batch, out_ch * t_len, &mut rng, p_zero, p_inf);
             let y = conv.forward(&x, Mode::Train);
-            let dx = conv.backward(&Tensor::full(7, 5 * 16, 0.25));
+            let dx = conv.backward(&g);
             let mut grads: Vec<Tensor> = Vec::new();
             conv.visit_params(&mut |p| grads.push(p.grad.clone()));
             (y, dx, grads)
@@ -138,11 +204,14 @@ fn conv_layers_bits_match_across_backends() {
         backend::set_backend(BackendKind::Blocked);
         let (y_b, dx_b, g_b) = run();
         backend::reset_backend();
-        let what = format!("conv k={kernel} d={dilation}");
-        assert_bits_eq(&y_n, &y_b, &format!("{what} forward"));
-        assert_bits_eq(&dx_n, &dx_b, &format!("{what} grad_input"));
+        let what = format!(
+            "conv case {case}: {in_ch}->{out_ch} k={kernel} d={dilation} T={t_len} \
+             batch={batch} adapters={adapters}"
+        );
+        assert_bits_eq_nan(&y_n, &y_b, &format!("{what} forward"));
+        assert_bits_eq_nan(&dx_n, &dx_b, &format!("{what} grad_input"));
         for (i, (gn, gb)) in g_n.iter().zip(&g_b).enumerate() {
-            assert_bits_eq(gn, gb, &format!("{what} param grad {i}"));
+            assert_bits_eq_nan(gn, gb, &format!("{what} param grad {i}"));
         }
     }
 }
