@@ -9,12 +9,13 @@
 //!
 //! Two grid dimensions beyond kernel/size:
 //!
-//! * **backend** — the GEMM-family and convolution kernels run under both
-//!   compute backends (`naive` and `blocked`, see `tasfar_nn::backend`), so
-//!   the result file records the head-to-head on every shape. The remaining
-//!   kernels run under the default backend. Blocked rows carry
-//!   `speedup_vs_naive`, and the binary self-asserts that `blocked` beats
-//!   `naive` on the largest matmul (1.1× floor — generous, so CI noise
+//! * **backend** — the GEMM-family and convolution kernels time both
+//!   compute backends (`CpuNaive` and `CpuBlocked`, see `tasfar_nn::backend`)
+//!   called through the `Backend` trait on the same buffers, so the result
+//!   file records the head-to-head on every shape. The remaining, layer-level
+//!   kernels run on the one dispatched backend (`blocked`). Blocked rows
+//!   carry `speedup_vs_naive`, and the binary self-asserts that `blocked`
+//!   beats `naive` on the largest matmul (1.1× floor — generous, so CI noise
 //!   doesn't flake; the recorded figure is the real speedup).
 //! * **threads** — every kernel runs with the parallel runtime pinned to 1
 //!   thread and, on multi-CPU hosts, again at 4 threads with the row
@@ -42,9 +43,9 @@ use std::cell::Cell;
 use std::time::Instant;
 use tasfar_core::density::{DensityMap1d, GridSpec};
 use tasfar_core::uncertainty::{McDropout, McPrediction};
-use tasfar_nn::backend::{self, BackendKind};
+use tasfar_nn::backend::{Backend, Conv1dGeometry, CpuBlocked, CpuNaive, TilingScheme};
 use tasfar_nn::json::Json;
-use tasfar_nn::layers::{Conv1d, Dense, Dropout, Layer, Mode, Relu, Sequential, TcnBlock};
+use tasfar_nn::layers::{Dense, Dropout, Layer, Mode, Relu, Sequential, TcnBlock};
 use tasfar_nn::parallel;
 use tasfar_nn::prelude::{train_step, Adam, Init, Mse, Scratch};
 use tasfar_nn::rng::Rng;
@@ -81,11 +82,16 @@ fn alloc_count() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
+/// The two backends of the head-to-head rows, timed through the trait.
+const NAIVE: &dyn Backend = &CpuNaive;
+/// The backend every layer-level kernel call dispatches to.
+const BLOCKED: &dyn Backend = &CpuBlocked::with_tiling(TilingScheme::DEFAULT);
+
 /// One benchmark result row.
 struct Row {
     kernel: &'static str,
     size: String,
-    /// Compute backend the kernel ran under (`naive` or `blocked`).
+    /// Compute backend the kernel ran on (`naive` or `blocked`).
     backend: &'static str,
     threads: usize,
     ns_per_iter: f64,
@@ -149,13 +155,12 @@ fn bench(
     rows: &mut Vec<Row>,
     kernel: &'static str,
     size: &str,
-    backend_kind: BackendKind,
+    backend: &'static str,
     threads: usize,
     samples: usize,
     iters: usize,
     mut f: impl FnMut(),
 ) {
-    backend::set_backend(backend_kind);
     parallel::set_threads(threads);
     // Warmup: one sample's worth, untimed.
     for _ in 0..iters {
@@ -163,15 +168,13 @@ fn bench(
     }
     let timing = time_best(samples, iters, &mut f);
     println!(
-        "{kernel:>16} {size:<14} {:<8} threads={threads}  {:>12.0} ns/iter (p50 {:.0})",
-        backend_kind.name(),
-        timing.best,
-        timing.p50
+        "{kernel:>16} {size:<14} {backend:<8} threads={threads}  {:>12.0} ns/iter (p50 {:.0})",
+        timing.best, timing.p50
     );
     rows.push(Row {
         kernel,
         size: size.to_string(),
-        backend: backend_kind.name(),
+        backend,
         threads,
         ns_per_iter: timing.best,
         ns_per_iter_p50: timing.p50,
@@ -212,13 +215,12 @@ fn main() {
     // On a single-CPU host only 1-thread rows carry signal; a lone sentinel
     // >1-thread row (added below) keeps the schema's thread dimension alive.
     let thread_counts: Vec<usize> = if cpus == 1 { vec![1] } else { vec![1, 4] };
-    let backends = [BackendKind::Naive, BackendKind::Blocked];
-    let default_backend = backend::DEFAULT_BACKEND;
+    let backends = [NAIVE, BLOCKED];
 
     // --- matmul m×k×n ----------------------------------------------------
-    // The `*_into` form with a reused output isolates the kernel itself:
-    // a fresh allocation per call would add identical page-fault overhead to
-    // both backends and wash out the head-to-head.
+    // A reused output isolates the kernel itself: a fresh allocation per
+    // call would add identical page-fault overhead to both backends and
+    // wash out the head-to-head.
     for &n in &[32usize, 128, 256] {
         let a = Tensor::rand_normal(n, n, 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(n, n, 0.0, 1.0, &mut rng);
@@ -228,19 +230,21 @@ fn main() {
         } else {
             ((256 / n).max(1) * (256 / n).max(1)).max(4)
         };
-        for &bk in &backends {
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let out = out.as_mut_slice();
+        for bk in backends {
             for &t in &thread_counts {
                 bench(
                     &mut rows,
                     "matmul",
                     &format!("{n}x{n}x{n}"),
-                    bk,
+                    bk.name(),
                     t,
                     samples,
                     iters,
                     || {
-                        a.matmul_into(&b, &mut out);
-                        std::hint::black_box(&out);
+                        bk.matmul_into(n, n, n, a, b, out);
+                        std::hint::black_box(&*out);
                     },
                 );
             }
@@ -252,13 +256,13 @@ fn main() {
                 &mut rows,
                 "matmul",
                 "256x256x256",
-                default_backend,
+                BLOCKED.name(),
                 4,
                 samples,
                 iters,
                 || {
-                    a.matmul_into(&b, &mut out);
-                    std::hint::black_box(&out);
+                    BLOCKED.matmul_into(n, n, n, a, b, out);
+                    std::hint::black_box(&*out);
                 },
             );
         }
@@ -273,37 +277,39 @@ fn main() {
         let a = Tensor::rand_normal(n, n, 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(n, n, 0.0, 1.0, &mut rng);
         let mut out = Tensor::zeros(n, n);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let out = out.as_mut_slice();
         let iters = if quick { 1 } else { 4 };
-        for &bk in &backends {
+        for bk in backends {
             for &t in &thread_counts {
                 bench(
                     &mut rows,
                     "t_matmul",
                     "256x256x256",
-                    bk,
+                    bk.name(),
                     t,
                     samples,
                     iters,
                     || {
-                        a.t_matmul_into(&b, &mut out);
-                        std::hint::black_box(&out);
+                        bk.t_matmul_into(n, n, n, a, b, out);
+                        std::hint::black_box(&*out);
                     },
                 );
             }
         }
-        for &bk in &backends {
+        for bk in backends {
             for &t in &thread_counts {
                 bench(
                     &mut rows,
                     "matmul_t",
                     "256x256x256",
-                    bk,
+                    bk.name(),
                     t,
                     samples,
                     iters,
                     || {
-                        a.matmul_t_into(&b, &mut out);
-                        std::hint::black_box(&out);
+                        bk.matmul_t_into(n, n, n, a, b, out);
+                        std::hint::black_box(&*out);
                     },
                 );
             }
@@ -314,31 +320,75 @@ fn main() {
     // The PDR TCN's convolutions: block 1's 6→16 k3 conv, block 2's 16→16
     // k3 d2 conv (three of the five convs are 16→16 k3 and dominate the
     // TCN's time), block 1's 1×1 downsample, and the 16→16 conv again on a
-    // 2-row serving segment.
-    for (size, in_ch, out_ch, k, dil, batch) in [
+    // 2-row serving segment. Each call zeroes its output first, as the
+    // kernel contract asks of the caller; `dw`/`db` accumulate.
+    for (size, in_ch, out_ch, kernel, dilation, batch) in [
         ("6->16 k3 t20 b64", 6, 16, 3, 1, 64),
         ("16->16 k3 d2 t20 b64", 16, 16, 3, 2, 64),
         ("6->16 k1 t20 b64", 6, 16, 1, 1, 64),
         ("16->16 k3 d2 t20 b2", 16, 16, 3, 2, 2),
     ] {
-        let t_len = 20;
-        let mut conv = Conv1d::new(in_ch, out_ch, k, dil, t_len, &mut rng);
-        let x = Tensor::rand_normal(batch, in_ch * t_len, 0.0, 1.0, &mut rng);
-        let g = Tensor::rand_normal(batch, out_ch * t_len, 0.0, 1.0, &mut rng);
+        let geo = Conv1dGeometry {
+            in_ch,
+            out_ch,
+            kernel,
+            dilation,
+            time_len: 20,
+        };
+        let w = Tensor::rand_normal(out_ch, in_ch * kernel, 0.0, 0.3, &mut rng);
+        let bias = Tensor::rand_normal(1, out_ch, 0.0, 0.1, &mut rng);
+        let x = Tensor::rand_normal(batch, geo.input_width(), 0.0, 1.0, &mut rng);
+        let g = Tensor::rand_normal(batch, geo.output_width(), 0.0, 1.0, &mut rng);
+        let mut y = Tensor::zeros(batch, geo.output_width());
+        let mut dx = Tensor::zeros(batch, geo.input_width());
+        let mut dw = vec![0.0; geo.weight_len()];
+        let mut db = vec![0.0; out_ch];
+        let mut scratch = Scratch::new();
+        let (w, bias) = (w.as_slice(), bias.as_slice());
         let iters = if quick { 1 } else { 512 / batch };
-        for &bk in &backends {
+        for bk in backends {
             for &t in &thread_counts {
-                bench(&mut rows, "conv1d_fwd", size, bk, t, samples, iters, || {
-                    std::hint::black_box(conv.forward(&x, Mode::Train));
-                });
+                bench(
+                    &mut rows,
+                    "conv1d_fwd",
+                    size,
+                    bk.name(),
+                    t,
+                    samples,
+                    iters,
+                    || {
+                        y.as_mut_slice().fill(0.0);
+                        bk.conv1d_forward(&geo, &x, w, bias, &mut y);
+                        std::hint::black_box(&y);
+                    },
+                );
             }
         }
-        for &bk in &backends {
+        for bk in backends {
             for &t in &thread_counts {
-                let _ = conv.forward(&x, Mode::Train);
-                bench(&mut rows, "conv1d_bwd", size, bk, t, samples, iters, || {
-                    std::hint::black_box(conv.backward(&g));
-                });
+                bench(
+                    &mut rows,
+                    "conv1d_bwd",
+                    size,
+                    bk.name(),
+                    t,
+                    samples,
+                    iters,
+                    || {
+                        dx.as_mut_slice().fill(0.0);
+                        bk.conv1d_backward(
+                            &geo,
+                            &x,
+                            &g,
+                            w,
+                            &mut dw,
+                            &mut db,
+                            &mut dx,
+                            &mut scratch,
+                        );
+                        std::hint::black_box(&dx);
+                    },
+                );
             }
         }
     }
@@ -348,21 +398,19 @@ fn main() {
         let mut block = TcnBlock::new(6, 16, 3, 2, 20, 0.1, &mut rng);
         let x = Tensor::rand_normal(64, 6 * 20, 0.0, 1.0, &mut rng);
         let iters = if quick { 1 } else { 4 };
-        for &bk in &backends {
-            for &t in &thread_counts {
-                bench(
-                    &mut rows,
-                    "tcn_fwd",
-                    "6->16 k3 d2 t20",
-                    bk,
-                    t,
-                    samples,
-                    iters,
-                    || {
-                        std::hint::black_box(block.forward(&x, Mode::Eval));
-                    },
-                );
-            }
+        for &t in &thread_counts {
+            bench(
+                &mut rows,
+                "tcn_fwd",
+                "6->16 k3 d2 t20",
+                BLOCKED.name(),
+                t,
+                samples,
+                iters,
+                || {
+                    std::hint::black_box(block.forward(&x, Mode::Eval));
+                },
+            );
         }
     }
 
@@ -381,7 +429,7 @@ fn main() {
                 &mut rows,
                 "mc_dropout",
                 "T=20 b128 mlp64",
-                default_backend,
+                BLOCKED.name(),
                 t,
                 samples,
                 iters,
@@ -398,7 +446,7 @@ fn main() {
                 &mut rows,
                 "mc_dropout_fused",
                 "T=20 b128 mlp64",
-                default_backend,
+                BLOCKED.name(),
                 t,
                 samples,
                 iters,
@@ -424,7 +472,7 @@ fn main() {
                 &mut rows,
                 "train_step",
                 "b128 mlp64",
-                default_backend,
+                BLOCKED.name(),
                 t,
                 samples,
                 iters,
@@ -457,7 +505,7 @@ fn main() {
                 &mut rows,
                 "density_1d",
                 "n512 cell0.05",
-                default_backend,
+                BLOCKED.name(),
                 t,
                 samples,
                 iters,
@@ -480,7 +528,6 @@ fn main() {
     // is enforced test-side by the `alloc_audit` suites; here it is recorded
     // into the result file as provenance for the numbers above.
     let hot_path_allocs = {
-        backend::set_backend(default_backend);
         parallel::set_threads(1);
         let mut audit_rng = Rng::new(13);
         let mut model = mc_model(&mut audit_rng);
@@ -549,7 +596,7 @@ fn main() {
         rows.push(Row {
             kernel: "span_off",
             size: "disabled".to_string(),
-            backend: default_backend.name(),
+            backend: BLOCKED.name(),
             threads: 1,
             ns_per_iter: timing.best,
             ns_per_iter_p50: timing.p50,

@@ -1,13 +1,20 @@
 //! Deterministic, seeded fault injection for the adaptation pipeline.
 //!
-//! Chaos-testing support: arm exactly one [`Fault`] — programmatically via
-//! [`arm`]/[`arm_seeded`], or through the `TASFAR_CHAOS` environment
-//! variable — and the next pipeline run that reaches the fault's stage
-//! corrupts its own intermediate state in a reproducible way. Faults are
-//! **one-shot**: the first run that trips one consumes it, so a guarded
-//! retry observes the healthy pipeline. Every injection increments the
+//! Chaos-testing support: arm exactly one [`Fault`] with [`arm`] or
+//! [`arm_seeded`], and the next run *on the same thread* that reaches the
+//! fault's stage corrupts its own intermediate state in a reproducible way.
+//! The armed slot is thread-local: every probe runs on the thread that
+//! entered `adapt_guarded`, `StreamAdapter::push` or a serving worker's
+//! batch, so a fault lands only on its own thread's work and concurrent
+//! runs cannot take each other's faults. Faults are **one-shot**: the first
+//! run that trips one consumes it, so a guarded retry observes the healthy
+//! pipeline. Every injection increments the process-wide
 //! `chaos.injected.<fault>` counter in the metrics registry, so traces and
 //! snapshots show exactly which runs were sabotaged.
+//!
+//! The library reads no environment variable. Binaries that offer chaos
+//! runs (the quickstart and streaming examples) parse `TASFAR_CHAOS` with
+//! [`parse_spec`] and arm the result just before their guarded run.
 //!
 //! The injected corruption is indistinguishable from the real failure it
 //! models — a NaN-poisoned batch, a split with nothing confident, a
@@ -15,8 +22,8 @@
 //! point: the chaos suite proves the *validation and recovery* layers catch
 //! the corruption, not that the injector can throw errors.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI32, Ordering};
-use std::sync::{Mutex, Once};
 
 use tasfar_nn::rng::Rng;
 use tasfar_nn::tensor::Tensor;
@@ -74,7 +81,7 @@ impl Fault {
         Fault::ServeEvictStorm,
     ];
 
-    /// Stable snake_case label (metrics and `TASFAR_CHAOS` syntax).
+    /// Stable snake_case label (metrics and [`parse_spec`] syntax).
     pub fn label(self) -> &'static str {
         match self {
             Fault::NanBatch => "nan_batch",
@@ -90,7 +97,7 @@ impl Fault {
         }
     }
 
-    /// Parses a label back to a fault (the `TASFAR_CHAOS` value).
+    /// Parses a label back to a fault.
     pub fn parse(label: &str) -> Option<Fault> {
         Fault::ALL.into_iter().find(|f| f.label() == label)
     }
@@ -117,15 +124,13 @@ struct Armed {
     seed: u64,
 }
 
-static ARMED: Mutex<Option<Armed>> = Mutex::new(None);
-static ENV_INIT: Once = Once::new();
-
-fn slot() -> std::sync::MutexGuard<'static, Option<Armed>> {
-    ARMED.lock().unwrap_or_else(|e| e.into_inner())
+thread_local! {
+    /// The fault armed on this thread, if any.
+    static ARMED: Cell<Option<Armed>> = const { Cell::new(None) };
 }
 
-/// Arms `fault` with seed 0. One-shot: consumed by the next run that
-/// reaches the fault's stage.
+/// Arms `fault` with seed 0 on this thread. One-shot: consumed by the next
+/// run on this thread that reaches the fault's stage.
 pub fn arm(fault: Fault) {
     arm_seeded(fault, 0);
 }
@@ -133,23 +138,24 @@ pub fn arm(fault: Fault) {
 /// Arms `fault` with an explicit seed (the seed steers which entries a
 /// [`Fault::NanBatch`] poisons; other faults ignore it but record it).
 pub fn arm_seeded(fault: Fault, seed: u64) {
-    *slot() = Some(Armed { fault, seed });
+    ARMED.with(|a| a.set(Some(Armed { fault, seed })));
 }
 
-/// Disarms any pending fault.
+/// Disarms any fault pending on this thread.
 pub fn disarm() {
-    *slot() = None;
+    ARMED.with(|a| a.set(None));
 }
 
-/// The currently armed fault, if any (not consumed).
+/// The fault armed on this thread, if any (not consumed).
 pub fn armed() -> Option<Fault> {
-    slot().map(|a| a.fault)
+    ARMED.with(Cell::get).map(|a| a.fault)
 }
 
-/// Parses a `TASFAR_CHAOS` value (`<fault>` or `<fault>:<seed>`) into a
-/// fault + seed pair. A chaos run with a misspelled fault name would
-/// otherwise silently test nothing, so unknown labels — and malformed
-/// seeds — are hard errors listing the accepted names.
+/// Parses a chaos spec (`<fault>` or `<fault>:<seed>`, the `TASFAR_CHAOS`
+/// syntax of the examples) into a fault + seed pair. A chaos run with a
+/// misspelled fault name would otherwise silently test nothing, so unknown
+/// labels — and malformed seeds — are hard errors listing the accepted
+/// names.
 pub fn parse_spec(value: &str) -> Result<(Fault, u64), String> {
     let (label, seed_str) = match value.split_once(':') {
         Some((l, s)) => (l, Some(s)),
@@ -158,69 +164,34 @@ pub fn parse_spec(value: &str) -> Result<(Fault, u64), String> {
     let Some(fault) = Fault::parse(label) else {
         let accepted: Vec<&str> = Fault::ALL.iter().map(|f| f.label()).collect();
         return Err(format!(
-            "TASFAR_CHAOS: unknown fault `{label}` (accepted: {})",
+            "unknown fault `{label}` (accepted: {})",
             accepted.join(", ")
         ));
     };
     let seed = match seed_str {
         None => 0,
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("TASFAR_CHAOS: seed `{s}` is not a u64"))?,
+        Some(s) => s.parse().map_err(|_| format!("seed `{s}` is not a u64"))?,
     };
     Ok((fault, seed))
 }
 
-/// Arms a fault from `TASFAR_CHAOS` (`<fault>` or `<fault>:<seed>`), once
-/// per process. Called on entry to `adapt_guarded` and on streaming-engine
-/// construction, so source-side calibration is never sabotaged — the chaos
-/// lands on the guarded adaptation it is meant to exercise.
-///
-/// # Panics
-/// Panics with a message listing the accepted fault names when the value
-/// does not parse (see [`parse_spec`]): a misconfigured chaos run must fail
-/// loudly, not silently run un-sabotaged.
-pub fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        if let Ok(value) = std::env::var("TASFAR_CHAOS") {
-            match parse_spec(&value) {
-                Ok((fault, seed)) => arm_seeded(fault, seed),
-                Err(msg) => panic!("{msg}"),
-            }
-        }
-    });
-}
-
-/// Consumes the armed fault if it matches `fault`, returning its seed, and
-/// counts the injection in `chaos.injected.<fault>`. This is the probe
-/// injection sites call at their stage boundary; it is public so downstream
-/// crates (the serving runtime's `serve_*` faults) can host injection sites
-/// of their own. Reads `TASFAR_CHAOS` first, so out-of-process chaos runs
-/// work without an explicit [`init_from_env`] on the probing path.
+/// Consumes this thread's armed fault if it matches `fault`, returning its
+/// seed, and counts the injection in `chaos.injected.<fault>`. This is the
+/// probe injection sites call at their stage boundary; it is public so
+/// downstream crates (the serving runtime's `serve_*` faults) can host
+/// injection sites of their own.
 pub fn consume(fault: Fault) -> Option<u64> {
-    init_from_env();
-    take(fault)
-}
-
-/// Consumes the armed fault if it matches `fault`, returning its seed.
-/// Counts the injection in `chaos.injected.<fault>`.
-pub(crate) fn take(fault: Fault) -> Option<u64> {
-    let mut guard = slot();
-    match *guard {
-        Some(armed) if armed.fault == fault => {
-            *guard = None;
-            tasfar_obs::metrics::counter(fault.counter_name()).incr();
-            tasfar_obs::event(
-                "chaos.injected",
-                vec![
-                    ("fault", fault.label().into()),
-                    ("seed", (armed.seed as f64).into()),
-                ],
-            );
-            Some(armed.seed)
-        }
-        _ => None,
-    }
+    let armed = ARMED.with(Cell::get).filter(|a| a.fault == fault)?;
+    disarm();
+    tasfar_obs::metrics::counter(fault.counter_name()).incr();
+    tasfar_obs::event(
+        "chaos.injected",
+        vec![
+            ("fault", fault.label().into()),
+            ("seed", (armed.seed as f64).into()),
+        ],
+    );
+    Some(armed.seed)
 }
 
 /// A copy of `x` with a seeded selection of entries replaced by NaN —
@@ -297,26 +268,30 @@ impl tasfar_nn::loss::Loss for ExplodingLoss {
 mod tests {
     use super::*;
 
-    // The armed slot is process-global; these tests must not interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn arming_is_one_shot() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        disarm();
         arm_seeded(Fault::ZeroDensityMass, 7);
         assert_eq!(armed(), Some(Fault::ZeroDensityMass));
         // A different stage's probe leaves the fault armed.
-        assert_eq!(take(Fault::NanBatch), None);
-        assert_eq!(take(Fault::ZeroDensityMass), Some(7));
+        assert_eq!(consume(Fault::NanBatch), None);
+        assert_eq!(consume(Fault::ZeroDensityMass), Some(7));
         // Consumed: the retry sees a healthy pipeline.
-        assert_eq!(take(Fault::ZeroDensityMass), None);
+        assert_eq!(consume(Fault::ZeroDensityMass), None);
         assert_eq!(armed(), None);
     }
 
     #[test]
+    fn an_armed_fault_stays_on_its_thread() {
+        arm_seeded(Fault::EmptyConfidentSplit, 9);
+        let elsewhere = std::thread::spawn(|| (armed(), consume(Fault::EmptyConfidentSplit)))
+            .join()
+            .unwrap();
+        assert_eq!(elsewhere, (None, None), "another thread's probe misses it");
+        assert_eq!(consume(Fault::EmptyConfidentSplit), Some(9));
+    }
+
+    #[test]
     fn labels_roundtrip() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for fault in Fault::ALL {
             assert_eq!(Fault::parse(fault.label()), Some(fault));
         }
@@ -335,7 +310,6 @@ mod tests {
 
     #[test]
     fn chaos_spec_parses_strictly() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert_eq!(parse_spec("nan_batch"), Ok((Fault::NanBatch, 0)));
         assert_eq!(
             parse_spec("drift_flap:42"),
@@ -359,7 +333,6 @@ mod tests {
 
     #[test]
     fn nan_burst_poisons_contiguous_rows_deterministically() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let x = Tensor::zeros(16, 3);
         let a = nan_burst(&x, 9);
         let b = nan_burst(&x, 9);
@@ -379,7 +352,6 @@ mod tests {
 
     #[test]
     fn nan_corruption_is_deterministic_and_nonempty() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let x = Tensor::zeros(40, 3);
         let a = nan_corrupted(&x, 11);
         let b = nan_corrupted(&x, 11);

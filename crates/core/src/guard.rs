@@ -19,7 +19,6 @@
 
 use crate::adapt::{adapt, AdaptationOutcome, SourceCalibration, TasfarConfig};
 use crate::error::{AdaptError, ErrorKind};
-use crate::faultinject;
 use tasfar_nn::loss::Loss;
 use tasfar_nn::model::{CheckpointRegressor, StochasticRegressor, TrainableRegressor};
 use tasfar_nn::tensor::Tensor;
@@ -183,10 +182,10 @@ fn adjust_for_retry(
 /// 4. Unrecoverable failures, or an exhausted budget, degrade to
 ///    [`GuardedOutcome::FellBackToSource`].
 ///
-/// Also the entry point for chaos testing: the `TASFAR_CHAOS` environment
-/// variable ([`crate::faultinject`]) is read here — once per process — so an
-/// injected fault lands on the guarded adaptation, never on source-side
-/// calibration.
+/// Also the entry point for chaos testing: a fault armed on the calling
+/// thread ([`crate::faultinject`]) just before this call lands on the
+/// guarded adaptation, never on source-side calibration, and never on a run
+/// another thread makes.
 pub fn adapt_guarded<M>(
     model: &mut M,
     calib: &SourceCalibration,
@@ -198,7 +197,6 @@ pub fn adapt_guarded<M>(
 where
     M: StochasticRegressor + TrainableRegressor + CheckpointRegressor + ?Sized,
 {
-    faultinject::init_from_env();
     tasfar_obs::metrics::counter("guard.runs").incr();
     let mut span = tasfar_obs::timed_span("adapt_guarded");
     span.field("target_rows", target_x.rows());

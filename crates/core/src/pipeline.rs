@@ -241,7 +241,7 @@ pub fn predict_stage<M: StochasticRegressor + ?Sized>(
 ) -> Result<McPrediction, AdaptError> {
     let span = tasfar_obs::timed_span(Stage::Predict.span_name());
     let corrupted =
-        faultinject::take(Fault::NanBatch).map(|seed| faultinject::nan_corrupted(x, seed));
+        faultinject::consume(Fault::NanBatch).map(|seed| faultinject::nan_corrupted(x, seed));
     let x = corrupted.as_ref().unwrap_or(x);
     let bad = non_finite(x);
     if bad > 0 {
@@ -303,7 +303,7 @@ pub fn split_stage(
         ));
     }
     let mut split = classifier.split(&mc.uncertainty);
-    if faultinject::take(Fault::EmptyConfidentSplit).is_some() {
+    if faultinject::consume(Fault::EmptyConfidentSplit).is_some() {
         // Simulate a batch where nothing clears τ: everything formerly
         // confident becomes uncertain (the partition invariant holds).
         split.uncertain.append(&mut split.confident);
@@ -445,7 +445,7 @@ pub fn estimate_density_stage(
                 .collect(),
         )
     };
-    if faultinject::take(Fault::ZeroDensityMass).is_some() {
+    if faultinject::consume(Fault::ZeroDensityMass).is_some() {
         match &mut maps {
             BuiltMaps::Joint2d(m) => m.chaos_clear_mass(),
             BuiltMaps::PerDim(ms) => ms.iter_mut().for_each(DensityMap1d::chaos_clear_mass),
@@ -660,7 +660,7 @@ pub fn finetune_stage<M: TrainableRegressor + ?Sized>(
     }
 
     let exploding;
-    let loss: &dyn Loss = if faultinject::take(Fault::LossExplosion).is_some() {
+    let loss: &dyn Loss = if faultinject::consume(Fault::LossExplosion).is_some() {
         exploding = faultinject::ExplodingLoss::new();
         &exploding
     } else {

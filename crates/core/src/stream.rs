@@ -463,9 +463,10 @@ where
     /// whose every adaptation fails can only degrade back to the source
     /// model (do-no-harm, extended in time).
     ///
-    /// Also the streaming entry point for chaos testing: `TASFAR_CHAOS` is
-    /// read here (once per process), so mid-stream faults armed from the
-    /// environment land on the stream, not on source-side calibration.
+    /// For chaos testing, arm a fault ([`crate::faultinject`]) on the thread
+    /// that will call [`StreamAdapter::push`] after building the engine: the
+    /// probes run inside `push`, so the fault lands mid-stream, not on
+    /// source-side calibration.
     ///
     /// # Errors
     /// [`ErrorKind::WindowUnderflow`] when the window capacity is zero or
@@ -479,7 +480,6 @@ where
         drift_cfg: DriftConfig,
         policy: RecoveryPolicy,
     ) -> Result<Self, AdaptError> {
-        faultinject::init_from_env();
         if stream_cfg.window == 0 {
             return Err(AdaptError::new(ErrorKind::WindowUnderflow {
                 have: 0,
@@ -586,12 +586,12 @@ where
         // Mid-stream chaos: a sensor dropout burst corrupts the chunk
         // *before* validation — which is the point: ingest validation must
         // reject the burst, not let it poison the window.
-        let corrupted = faultinject::take(Fault::StreamNanBurst)
+        let corrupted = faultinject::consume(Fault::StreamNanBurst)
             .map(|seed| faultinject::nan_burst(chunk, seed));
         let chunk = corrupted.as_ref().unwrap_or(chunk);
 
         // Mid-stream chaos: an upstream outage drains the buffer.
-        if faultinject::take(Fault::WindowStarvation).is_some() {
+        if faultinject::consume(Fault::WindowStarvation).is_some() {
             self.starve_window();
         }
 
@@ -655,7 +655,7 @@ where
             && self.samples_seen / self.stream_cfg.check_every > self.last_check
         {
             self.last_check = self.samples_seen / self.stream_cfg.check_every;
-            let obs = if faultinject::take(Fault::DriftFlap).is_some() {
+            let obs = if faultinject::consume(Fault::DriftFlap).is_some() {
                 self.detector.chaos_trip()
             } else {
                 let live_mass: Vec<Vec<f64>> = self
@@ -708,7 +708,7 @@ where
         // retry (unlike the one-shot batch LossExplosion), forcing the
         // retry budget to exhaust and the degrade path to run.
         let exploding;
-        let loss: &dyn Loss = if faultinject::take(Fault::ReadaptLossExplosion).is_some() {
+        let loss: &dyn Loss = if faultinject::consume(Fault::ReadaptLossExplosion).is_some() {
             exploding = faultinject::ExplodingLoss::new();
             &exploding
         } else {

@@ -4,14 +4,14 @@
 //! [`McDropout::predict_into`] calls with a reused [`McPrediction`] must
 //! never touch the heap.
 //!
-//! The audit pins `TASFAR_THREADS = 1`: the parallel runtime's pooled
-//! dispatch allocates its job handle by design, while the inline path is
+//! The audit pins one compute thread on its own test thread (`set_threads`
+//! is a per-thread override): the parallel runtime's pooled dispatch
+//! allocates its job handle by design, while the inline path is
 //! allocation-free — and fused/unfused bit-identity across thread counts is
 //! already pinned by `fused_mc.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 
 use tasfar_core::uncertainty::{McDropout, McPrediction};
 use tasfar_nn::parallel::{reset_threads, set_threads};
@@ -49,9 +49,6 @@ fn alloc_count() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
-/// `set_threads` is process-global; serialize the tests that pin it.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
 fn mc_model(rng: &mut Rng) -> Sequential {
     Sequential::new()
         .add(Dense::new(3, 16, Init::HeNormal, rng))
@@ -65,7 +62,6 @@ fn mc_model(rng: &mut Rng) -> Sequential {
 
 #[test]
 fn predict_into_is_allocation_free_after_warmup() {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_threads(1);
 
     let mut rng = Rng::new(1);

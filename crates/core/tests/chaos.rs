@@ -3,9 +3,9 @@
 //! the policy-driven retry or degraded to the source checkpoint — with the
 //! rollback provably bit-identical.
 //!
-//! Faults are armed programmatically here; `chaos_env.rs` covers the
-//! `TASFAR_CHAOS` environment path in its own process (the env hook is
-//! first-call-wins per process).
+//! Faults are armed programmatically here, on the test's own thread (the
+//! armed slot is thread-local). The `TASFAR_CHAOS` path is the examples'
+//! own: `scripts/verify.sh` drives a sabotaged quickstart.
 
 mod chaos_util;
 
@@ -16,8 +16,11 @@ use tasfar_core::faultinject::{self, Fault};
 use tasfar_core::prelude::*;
 use tasfar_nn::prelude::*;
 
-/// The armed-fault slot is process-global; the chaos tests must not
-/// interleave.
+/// Serialises the exact `chaos.injected.<fault>` deltas the single-fault
+/// tests assert: those counters are process-wide, and the trace test and
+/// the back-to-back gauntlet inject the same four faults (`nan_batch`,
+/// `empty_confident_split`, `zero_density_mass`, `loss_explosion`). The
+/// armed slot itself is thread-local and needs no lock.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn injected_count(fault: Fault) -> u64 {
@@ -27,7 +30,6 @@ fn injected_count(fault: Fault) -> u64 {
 #[test]
 fn nan_batch_fault_is_fatal_and_rolls_back_bit_identically() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let mut toy = calibrated_toy(31);
     let reference_hash = fnv1a_bits(toy.model.clone().predict(&toy.target_x).as_slice());
     let injected_before = injected_count(Fault::NanBatch);
@@ -63,7 +65,6 @@ fn nan_batch_fault_is_fatal_and_rolls_back_bit_identically() {
 #[test]
 fn empty_confident_split_fault_recovers_in_one_retry() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let mut toy = calibrated_toy(32);
     let injected_before = injected_count(Fault::EmptyConfidentSplit);
 
@@ -103,7 +104,6 @@ fn empty_confident_split_fault_recovers_in_one_retry() {
 #[test]
 fn zero_density_mass_fault_recovers_in_one_retry() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let mut toy = calibrated_toy(33);
     let injected_before = injected_count(Fault::ZeroDensityMass);
 
@@ -132,7 +132,6 @@ fn zero_density_mass_fault_recovers_in_one_retry() {
 #[test]
 fn loss_explosion_fault_recovers_with_backed_off_learning_rate() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let mut toy = calibrated_toy(34);
     let injected_before = injected_count(Fault::LossExplosion);
 
@@ -161,7 +160,6 @@ fn loss_explosion_fault_recovers_with_backed_off_learning_rate() {
 #[test]
 fn injection_and_rollback_are_visible_in_the_trace() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let mut toy = calibrated_toy(35);
 
     let sink = tasfar_obs::capture();
@@ -195,7 +193,6 @@ fn every_fault_class_is_survivable_back_to_back() {
     // deployment, none panics, each resolves per policy, and the model ends
     // the gauntlet either adapted or bit-identical to the source.
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let toy = calibrated_toy(36);
 
     for (fault, expect) in [

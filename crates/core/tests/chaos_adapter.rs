@@ -6,18 +6,12 @@
 
 mod chaos_util;
 
-use std::sync::Mutex;
-
 use chaos_util::{calibrated_toy, fnv1a_bits, Toy};
 use tasfar_core::faultinject::{self, Fault};
 use tasfar_core::prelude::*;
 use tasfar_nn::adapter::{enable_adapters, AdapterConfig};
 use tasfar_nn::model::CheckpointRegressor;
 use tasfar_nn::prelude::*;
-
-/// The armed-fault slot is process-global; the chaos tests must not
-/// interleave.
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// A calibrated toy with rank-4 adapters attached. Attaching is
 /// prediction-preserving, so the calibration stays valid.
@@ -31,8 +25,6 @@ fn adapted_toy(seed: u64) -> Toy {
 
 #[test]
 fn adapted_guard_checkpoints_are_delta_sized() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let mut toy = adapted_toy(61);
     let mut ckpt = toy.model.checkpoint();
     assert!(
@@ -57,8 +49,6 @@ fn adapted_guard_checkpoints_are_delta_sized() {
 
 #[test]
 fn nan_batch_rolls_back_the_delta_bit_identically() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let mut toy = adapted_toy(62);
     let reference_hash = fnv1a_bits(toy.model.predict(&toy.target_x).as_slice());
 
@@ -93,8 +83,6 @@ fn nan_batch_rolls_back_the_delta_bit_identically() {
 
 #[test]
 fn adapted_gauntlet_settles_every_fault_class() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     // Same expectations as the full-model gauntlet in `chaos.rs`: the
     // adapter subspace changes what the guard snapshots and the optimizer
     // moves, never how faults classify or recover.

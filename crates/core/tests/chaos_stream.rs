@@ -5,21 +5,15 @@
 //! `degraded-to-last-good` state with the rollback pinned by
 //! prediction-bit hashes; never a panic, never silent corruption.
 //!
-//! Faults are armed programmatically; `chaos_env.rs` owns the
-//! `TASFAR_CHAOS` environment path (first-call-wins per process).
+//! Faults are armed programmatically, on the thread that pushes the stream
+//! (the armed slot is thread-local).
 
 mod stream_util;
-
-use std::sync::Mutex;
 
 use stream_util::{fnv1a_bits, stream_toy, toy_stream_cfg};
 use tasfar_core::faultinject::{self, Fault};
 use tasfar_core::prelude::*;
 use tasfar_nn::prelude::*;
-
-/// The armed-fault slot is process-global; the chaos tests must not
-/// interleave.
-static LOCK: Mutex<()> = Mutex::new(());
 
 const CHUNK: usize = 8;
 const TERMINAL: [&str; 3] = ["adapted", "recovered", "degraded-to-last-good"];
@@ -60,8 +54,6 @@ fn feed(
 
 #[test]
 fn mid_stream_fault_gauntlet_settles_every_fault() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     // A stationary regime (the jump sits past the feed) — every state
     // change below is caused by an injected fault, not by real drift.
     let toy = stream_toy(41, 400, 400);

@@ -7,17 +7,11 @@
 //! every output (point, MC mean, std, uncertainty) and the model's
 //! post-call RNG state must match exactly, at any thread count.
 
-use std::sync::Mutex;
-
 use tasfar_core::uncertainty::{McDropout, McPrediction};
 use tasfar_nn::parallel::{reset_threads, set_threads};
 use tasfar_nn::prelude::*;
 
-/// Thread-count changes are process-global; serialize the tests that pin one.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
 fn at_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_threads(n);
     let out = f();
     reset_threads();

@@ -46,7 +46,7 @@
 //! arena borrow when the kernel runs; a dedicated pair of buffers sidesteps
 //! the re-entrancy fallback that would otherwise allocate per call.
 
-use super::{naive, Backend, BackendKind, Conv1dGeometry};
+use super::{naive, Backend, Conv1dGeometry};
 use crate::scratch::Scratch;
 use crate::tensor::{kernel_rows_per_chunk, Tensor};
 use std::cell::RefCell;
@@ -114,9 +114,9 @@ impl TilingScheme {
     }
 }
 
-/// The cache-blocked, panel-packed backend (`TASFAR_BACKEND=blocked`, the
-/// default). Bit-identical to [`CpuNaive`](super::CpuNaive) on every input;
-/// see the module docs for the argument.
+/// The cache-blocked, panel-packed backend, the one every kernel call
+/// dispatches to. Bit-identical to [`CpuNaive`](super::CpuNaive) on every
+/// input; see the module docs for the argument.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuBlocked {
     tiling: TilingScheme,
@@ -761,10 +761,6 @@ fn conv1d_backward_tiled(
 impl Backend for CpuBlocked {
     fn name(&self) -> &'static str {
         "blocked"
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Blocked
     }
 
     fn matmul_into(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {

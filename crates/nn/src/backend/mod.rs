@@ -26,16 +26,16 @@
 //! [`CpuBlocked`] is **bit-identical** to [`CpuNaive`] on every input, not
 //! merely close. The cross-backend property suite
 //! (`crates/nn/tests/backend_equiv.rs`) pins this exactly (`to_bits`
-//! equality), and the golden adaptation hashes hold under either backend.
+//! equality) by running both through the trait on the same inputs.
 //!
-//! ## Selection
+//! ## Dispatch
 //!
-//! The active backend is chosen once from the `TASFAR_BACKEND` environment
-//! variable (`naive` or `blocked`; default `blocked`) and can be overridden
-//! at runtime with [`set_backend`]. Every kernel dispatch increments a
-//! per-backend counter ([`stats`]) that `tasfar-obs` mirrors into the
-//! metrics registry as `backend.{naive,blocked}.calls`, so traces attribute
-//! kernel time to the backend that actually ran.
+//! Every kernel call in [`crate::tensor`] and [`crate::layers::Conv1d`] runs
+//! on [`CpuBlocked`]; there is no runtime switch. [`CpuNaive`] stays as the
+//! bit-exact reference that the equivalence tests and the `kernels` bench
+//! call directly through the [`Backend`] trait. Every dispatch increments a
+//! counter ([`stats`]) that `tasfar-obs` mirrors into the metrics registry
+//! as `backend.{naive,blocked}.calls`.
 
 mod blocked;
 mod naive;
@@ -45,7 +45,7 @@ pub use naive::CpuNaive;
 
 use crate::scratch::Scratch;
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Geometry of a causal dilated 1-D convolution (see
 /// [`crate::layers::Conv1d`] for the packing convention: a `(channels,
@@ -93,11 +93,9 @@ impl Conv1dGeometry {
 /// * Implementations are free to parallelise through [`crate::parallel`];
 ///   results must be bit-identical for any thread count.
 pub trait Backend: Sync {
-    /// Human-readable backend name (the `TASFAR_BACKEND` value).
+    /// Short backend name (`naive` or `blocked`), the label of the
+    /// `kernels` bench rows.
     fn name(&self) -> &'static str;
-
-    /// The selection tag this backend answers to.
-    fn kind(&self) -> BackendKind;
 
     /// `C (m×n) = A (m×k) · B (k×n)`, all row-major.
     fn matmul_into(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]);
@@ -173,109 +171,15 @@ pub trait Backend: Sync {
     );
 }
 
-/// Selection tag for the built-in backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// The reference scalar + threads kernels ([`CpuNaive`]).
-    Naive,
-    /// Cache-blocked, panel-packed kernels ([`CpuBlocked`]).
-    Blocked,
-}
-
-impl BackendKind {
-    /// The `TASFAR_BACKEND` spelling of this kind.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Naive => "naive",
-            BackendKind::Blocked => "blocked",
-        }
-    }
-
-    /// Parses a `TASFAR_BACKEND` value (trimmed, case-insensitive).
-    pub fn from_name(s: &str) -> Option<BackendKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "naive" => Some(BackendKind::Naive),
-            "blocked" => Some(BackendKind::Blocked),
-            _ => None,
-        }
-    }
-}
-
-/// The default backend when neither `TASFAR_BACKEND` nor [`set_backend`]
-/// says otherwise. `blocked` is bit-identical to `naive` and faster on every
-/// GEMM-shaped kernel, so it is the production default; `naive` remains one
-/// env var away as the reference.
-pub const DEFAULT_BACKEND: BackendKind = BackendKind::Blocked;
-
-/// Active backend selection; 0 = uninitialised, 1 = naive, 2 = blocked.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-static NAIVE: CpuNaive = CpuNaive;
+/// The one dispatched backend instance.
 static BLOCKED: CpuBlocked = CpuBlocked::with_tiling(TilingScheme::DEFAULT);
-
-fn code_of(kind: BackendKind) -> usize {
-    match kind {
-        BackendKind::Naive => 1,
-        BackendKind::Blocked => 2,
-    }
-}
-
-/// The currently selected backend kind.
-///
-/// Resolution order: a prior [`set_backend`] call, else `TASFAR_BACKEND`
-/// (parsed with [`BackendKind::from_name`]; unknown values fall through),
-/// else [`DEFAULT_BACKEND`]. The environment is read once and cached;
-/// [`reset_backend`] forces a re-read.
-pub fn active_kind() -> BackendKind {
-    match ACTIVE.load(Ordering::Relaxed) {
-        1 => BackendKind::Naive,
-        2 => BackendKind::Blocked,
-        _ => {
-            let kind = std::env::var("TASFAR_BACKEND")
-                .ok()
-                .and_then(|s| BackendKind::from_name(&s))
-                .unwrap_or(DEFAULT_BACKEND);
-            // Racing initialisers compute the same value; plain store is fine.
-            ACTIVE.store(code_of(kind), Ordering::Relaxed);
-            kind
-        }
-    }
-}
-
-/// Overrides the backend for subsequent kernel calls.
-///
-/// Outputs are bit-identical across backends; this only changes how the
-/// arithmetic is scheduled. Intended for tests, benchmarks, and embedders
-/// that want an explicit choice instead of the environment default.
-pub fn set_backend(kind: BackendKind) {
-    ACTIVE.store(code_of(kind), Ordering::Relaxed);
-}
-
-/// Drops any [`set_backend`] override and re-reads `TASFAR_BACKEND` on the
-/// next dispatch.
-pub fn reset_backend() {
-    ACTIVE.store(0, Ordering::Relaxed);
-}
-
-/// The active backend as a trait object (without touching the dispatch
-/// counters — use this for inspection; kernels go through the crate-private
-/// `dispatch`).
-pub fn active() -> &'static dyn Backend {
-    match active_kind() {
-        BackendKind::Naive => &NAIVE,
-        BackendKind::Blocked => &BLOCKED,
-    }
-}
 
 // ----- dispatch instrumentation ---------------------------------------------
 //
-// Mirrors the `parallel` pool-stats pattern: always-on relaxed counters in
+// Mirrors the `parallel` pool-stats pattern: an always-on relaxed counter in
 // the substrate, bridged into the obs metrics registry as
-// `backend.{naive,blocked}.calls` by `tasfar-obs`. Purely observational —
-// they never influence selection or results.
+// `backend.{naive,blocked}.calls` by `tasfar-obs`. Purely observational.
 
-/// Kernel dispatches served by [`CpuNaive`].
-static NAIVE_CALLS: AtomicU64 = AtomicU64::new(0);
 /// Kernel dispatches served by [`CpuBlocked`] (including calls it chose to
 /// route to the shared scalar path below its blocking cutoff — the policy is
 /// the backend's, so the dispatch is attributed to it).
@@ -284,7 +188,8 @@ static BLOCKED_CALLS: AtomicU64 = AtomicU64::new(0);
 /// A snapshot of the per-backend dispatch counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendStats {
-    /// Kernel dispatches served by the naive backend.
+    /// Kernel dispatches served by the naive backend: always 0, since
+    /// dispatch never selects it. Kept so counter readers keep one schema.
     pub naive_calls: u64,
     /// Kernel dispatches served by the blocked backend.
     pub blocked_calls: u64,
@@ -293,30 +198,22 @@ pub struct BackendStats {
 /// Reads the dispatch counters.
 pub fn stats() -> BackendStats {
     BackendStats {
-        naive_calls: NAIVE_CALLS.load(Ordering::Relaxed),
+        naive_calls: 0,
         blocked_calls: BLOCKED_CALLS.load(Ordering::Relaxed),
     }
 }
 
 /// Zeroes the dispatch counters (for benchmarks measuring one phase).
 pub fn reset_stats() {
-    NAIVE_CALLS.store(0, Ordering::Relaxed);
     BLOCKED_CALLS.store(0, Ordering::Relaxed);
 }
 
-/// The active backend, with the dispatch counted. Every kernel entry point
+/// The dispatched backend, with the call counted. Every kernel entry point
 /// in [`crate::tensor`] and [`crate::layers::Conv1d`] routes through here —
 /// there is no bypass path.
 pub(crate) fn dispatch() -> &'static dyn Backend {
-    let kind = active_kind();
-    match kind {
-        BackendKind::Naive => NAIVE_CALLS.fetch_add(1, Ordering::Relaxed),
-        BackendKind::Blocked => BLOCKED_CALLS.fetch_add(1, Ordering::Relaxed),
-    };
-    match kind {
-        BackendKind::Naive => &NAIVE,
-        BackendKind::Blocked => &BLOCKED,
-    }
+    BLOCKED_CALLS.fetch_add(1, Ordering::Relaxed);
+    &BLOCKED
 }
 
 #[cfg(test)]
@@ -324,43 +221,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_names_round_trip() {
-        for kind in [BackendKind::Naive, BackendKind::Blocked] {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(
-            BackendKind::from_name(" BLOCKED "),
-            Some(BackendKind::Blocked)
-        );
-        assert_eq!(BackendKind::from_name("Naive"), Some(BackendKind::Naive));
-        assert_eq!(BackendKind::from_name("gpu"), None);
-        assert_eq!(BackendKind::from_name(""), None);
-    }
-
-    #[test]
-    fn set_backend_switches_the_active_instance() {
-        let before = active_kind();
-        set_backend(BackendKind::Naive);
-        assert_eq!(active_kind(), BackendKind::Naive);
-        assert_eq!(active().name(), "naive");
-        set_backend(BackendKind::Blocked);
-        assert_eq!(active_kind(), BackendKind::Blocked);
-        assert_eq!(active().name(), "blocked");
-        set_backend(before);
-    }
-
-    #[test]
     fn dispatch_counts_by_backend() {
-        let before_kind = active_kind();
-        set_backend(BackendKind::Naive);
-        let naive_before = stats().naive_calls;
+        let before = stats();
         let _ = dispatch();
-        assert!(stats().naive_calls > naive_before);
-        set_backend(BackendKind::Blocked);
-        let blocked_before = stats().blocked_calls;
-        let _ = dispatch();
-        assert!(stats().blocked_calls > blocked_before);
-        set_backend(before_kind);
+        let after = stats();
+        assert!(after.blocked_calls > before.blocked_calls);
+        assert_eq!(
+            after.naive_calls, 0,
+            "dispatch never serves the naive backend"
+        );
     }
 
     #[test]

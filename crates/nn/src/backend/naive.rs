@@ -7,7 +7,7 @@
 //! bit-identical. Each free function operates on flat slices; the
 //! [`Backend`] impl is a thin adapter.
 
-use super::{Backend, BackendKind, Conv1dGeometry};
+use super::{Backend, Conv1dGeometry};
 use crate::scratch::Scratch;
 use crate::tensor::{kernel_rows_per_chunk, Tensor};
 
@@ -309,17 +309,14 @@ pub(super) fn conv1d_backward(
 }
 
 /// The reference scalar + threads backend: the exact kernels the golden-hash
-/// suite was pinned against, selectable via `TASFAR_BACKEND=naive`.
+/// suite was pinned against. Dispatch never selects it; the equivalence
+/// tests and the `kernels` bench call it directly through [`Backend`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CpuNaive;
 
 impl Backend for CpuNaive {
     fn name(&self) -> &'static str {
         "naive"
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Naive
     }
 
     fn matmul_into(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {

@@ -27,7 +27,7 @@ use crate::tensor::Tensor;
 /// ([`crate::adapter`]): the `(out_ch, in_ch·kernel)` weight matrix is then
 /// frozen and the convolution runs with the materialised effective kernel
 /// `W_eff = W + scale · down · up` (a scratch-resident GEMM, so both the
-/// merge and the sweep ride the active compute backend). With no delta,
+/// merge and the sweep ride the compute backend). With no delta,
 /// every code path below is byte-for-byte the pre-adapter one.
 #[derive(Clone)]
 pub struct Conv1d {
@@ -139,7 +139,7 @@ impl Layer for Conv1d {
         let geo = self.geometry();
         let b = self.bias.value.as_slice();
         let mut out = scratch.take(input.rows(), geo.output_width());
-        // The inner loops live on the active compute backend; every backend
+        // The inner loops live on the compute backend; every backend
         // parallelises over independent batch rows with a fixed per-row
         // arithmetic order, keeping results bit-identical for any thread
         // count and across backends.

@@ -4,10 +4,10 @@
 //! The PDR regressor in this reproduction is a stack of these blocks — the
 //! same architecture family as RoNIN's TCN backbone that the paper adapts.
 //!
-//! The convolutional inner loops run on the active compute backend
-//! ([`crate::backend`]); the blocked backend runs every conv of the block,
-//! the 1×1 downsample included, on its register-tiled conv kernel,
-//! bit-identical to the reference kernels.
+//! The convolutional inner loops run on the compute backend
+//! ([`crate::backend`]), which runs every conv of the block, the 1×1
+//! downsample included, on its register-tiled conv kernel, bit-identical to
+//! the reference kernels.
 
 use super::{Conv1d, Dropout, Layer, McContext, Mode, Param, Relu, SegmentedContext};
 use crate::rng::Rng;

@@ -13,10 +13,10 @@
 //! * [`adapter`] — LoRA-style low-rank delta adapters over frozen source
 //!   weights (`W_eff = W + (α/r)·down·up`), the KB-scale per-user adaptation
 //!   state (attached explicitly with `enable_adapters`).
-//! * [`backend`] — pluggable CPU compute backends behind the GEMM-family and
-//!   `Conv1d` kernels: the reference `CpuNaive` and the cache-blocked,
-//!   panel-packed `CpuBlocked` (bit-identical, selected via
-//!   `TASFAR_BACKEND` or `set_backend`).
+//! * [`backend`] — the CPU compute backends behind the GEMM-family and
+//!   `Conv1d` kernels: every call runs on the cache-blocked, panel-packed
+//!   `CpuBlocked`; the bit-identical `CpuNaive` is the reference that tests
+//!   and benches call directly.
 //! * [`rng::Rng`] — a splittable xoshiro256++ PRNG making every experiment
 //!   bit-reproducible.
 //! * [`layers`] — `Dense`, activations, inverted `Dropout` (the MC-dropout
@@ -36,7 +36,8 @@
 //!   suite.
 //! * [`parallel`] — a zero-dependency deterministic thread pool; the matmul,
 //!   convolution, MC-dropout, and KDE hot paths run on it and return
-//!   bit-identical results for any thread count (`TASFAR_THREADS`).
+//!   bit-identical results for any thread count (`TASFAR_THREADS` sets the
+//!   process default, `set_threads` a per-thread override).
 //! * [`scratch`] — a size-bucketed buffer arena threaded through the layers
 //!   and the training loop, making steady-state forward/backward and fused
 //!   MC-dropout inference allocation-free after warm-up.
@@ -93,9 +94,7 @@ pub use error::TrainError;
 /// One-stop imports for model building and training.
 pub mod prelude {
     pub use crate::adapter::{enable_adapters, AdapterConfig, DeltaParams};
-    pub use crate::backend::{
-        set_backend, Backend, BackendKind, CpuBlocked, CpuNaive, TilingScheme,
-    };
+    pub use crate::backend::{Backend, CpuBlocked, CpuNaive, TilingScheme};
     pub use crate::error::TrainError;
     pub use crate::gradcheck::check_gradients;
     pub use crate::init::Init;

@@ -14,10 +14,13 @@
 //!   and combination order is fixed, every kernel built on this module
 //!   returns bitwise-identical floats for any thread count, including the
 //!   inline single-threaded path.
-//! * **Thread count control.** The count comes from the `TASFAR_THREADS`
-//!   environment variable when set, otherwise
-//!   [`std::thread::available_parallelism`]; [`set_threads`] overrides it at
-//!   runtime (used by the determinism tests and the benchmark harness).
+//! * **Thread count control.** Each submitting thread reads its own
+//!   setting: a [`set_threads`] override for that thread (the determinism
+//!   tests and the benchmark harnesses pin one this way), else the process
+//!   default, resolved once from the `TASFAR_THREADS` environment variable
+//!   or else [`std::thread::available_parallelism`]. Only the submitting
+//!   thread reads the count, and nested regions run inline on it, so its
+//!   setting governs all of its work.
 //!
 //! ## Pool architecture
 //!
@@ -37,6 +40,7 @@
 //! deterministic.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,40 +48,45 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 
-/// Configured thread count; 0 means "not yet initialised".
-static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
+/// The process default thread count, resolved on first use.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
-/// The number of threads kernels may use (including the calling thread).
+/// The number of threads a parallel region submitted from this thread may
+/// use (including this thread).
 ///
-/// Resolution order: a prior [`set_threads`] call, else `TASFAR_THREADS`
-/// (parsed as a positive integer), else `available_parallelism()`, else 1.
+/// Resolution order: this thread's [`set_threads`] override, else the
+/// process default — `TASFAR_THREADS` (parsed as a positive integer), else
+/// `available_parallelism()`, else 1 — read once per process.
 pub fn current_threads() -> usize {
-    let configured = CONFIGURED.load(Ordering::Relaxed);
-    if configured != 0 {
-        return configured;
+    match THREADS_OVERRIDE.with(Cell::get) {
+        0 => default_threads(),
+        n => n,
     }
-    let n = threads_from_env().unwrap_or_else(|| {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    // Racing initialisers compute the same value, so a plain store is fine.
-    CONFIGURED.store(n, Ordering::Relaxed);
-    n
 }
 
-/// Overrides the thread count for subsequent kernel calls (clamped to ≥ 1).
+/// Overrides the thread count for parallel regions this thread submits
+/// (clamped to ≥ 1). Other threads keep their own setting.
 ///
 /// Outputs are bit-identical for every setting; this only changes how the
 /// work is scheduled. Intended for tests and benchmarks.
 pub fn set_threads(n: usize) {
-    CONFIGURED.store(n.max(1), Ordering::Relaxed);
+    THREADS_OVERRIDE.with(|o| o.set(n.max(1)));
 }
 
-/// Re-reads `TASFAR_THREADS` / `available_parallelism`, dropping any
-/// [`set_threads`] override.
+/// Drops this thread's [`set_threads`] override, returning it to the
+/// process default.
 pub fn reset_threads() {
-    CONFIGURED.store(0, Ordering::Relaxed);
+    THREADS_OVERRIDE.with(|o| o.set(0));
+}
+
+fn default_threads() -> usize {
+    *DEFAULT_THREADS.get_or_init(|| {
+        threads_from_env().unwrap_or_else(|| {
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+    })
 }
 
 fn threads_from_env() -> Option<usize> {
@@ -89,12 +98,14 @@ fn threads_from_env() -> Option<usize> {
 }
 
 thread_local! {
+    /// This thread's [`set_threads`] override; 0 means none.
+    static THREADS_OVERRIDE: Cell<usize> = const { Cell::new(0) };
     /// True on pool workers and on a submitter while it runs chunks; nested
     /// parallel calls under this flag execute inline.
-    static IN_PARALLEL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
     /// This thread's pool worker index, or `usize::MAX` off the pool. Lets
     /// chunk accounting attribute work to a specific worker.
-    static WORKER_INDEX: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+    static WORKER_INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 // ----- pool instrumentation -------------------------------------------------
@@ -547,12 +558,8 @@ pub fn for_each_row_chunk_with_aux<F>(
 mod tests {
     use super::*;
 
-    /// Serialises tests that mutate the global thread configuration.
-    static CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
     /// Runs `f` under a forced thread count, restoring the default after.
     fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-        let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_threads(n);
         let out = f();
         reset_threads();
@@ -627,7 +634,6 @@ mod tests {
 
     #[test]
     fn panic_payload_survives_the_pool() {
-        let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_threads(4);
         let result = std::panic::catch_unwind(|| {
             parallel_for_each_chunk(8, |c| {
@@ -653,7 +659,6 @@ mod tests {
     /// pool (the panic flag is per-job and cannot stick).
     #[test]
     fn pool_is_reusable_after_a_panicked_job() {
-        let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_threads(4);
 
         let first = std::panic::catch_unwind(|| {
@@ -701,8 +706,6 @@ mod tests {
     fn pool_stats_observe_inline_and_pooled_regions() {
         // Other test threads may touch the pool concurrently, so assertions
         // are lower bounds on the deltas, not exact counts.
-        let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-
         set_threads(1);
         let before = pool_stats();
         parallel_for_each_chunk(5, |_| {});
@@ -724,9 +727,33 @@ mod tests {
 
     #[test]
     fn set_threads_clamps_to_one() {
-        let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_threads(0);
         assert_eq!(current_threads(), 1);
         reset_threads();
+    }
+
+    #[test]
+    fn thread_overrides_are_per_thread() {
+        // A sets 1, then B sets 3; each still reads its own setting, and a
+        // thread with no override reads the process default.
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = thread::scope(|s| {
+            let a = s.spawn(|| {
+                set_threads(1);
+                barrier.wait();
+                barrier.wait();
+                current_threads()
+            });
+            let b = s.spawn(|| {
+                barrier.wait();
+                set_threads(3);
+                barrier.wait();
+                current_threads()
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!((a, b), (1, 3));
+        let fresh = thread::spawn(current_threads).join().unwrap();
+        assert_eq!(fresh, default_threads());
     }
 }

@@ -381,11 +381,10 @@ impl Tensor {
 
     /// Matrix product `self × other`.
     ///
-    /// Dispatches to the active [`crate::backend`] (see `TASFAR_BACKEND` /
-    /// [`crate::backend::set_backend`]). Every backend accumulates each
-    /// output element's `k` products in ascending `p = 0..k` order from a
-    /// `0.0` start, so results are bit-identical across backends and for
-    /// any thread count.
+    /// Dispatches to [`crate::backend::CpuBlocked`]. Every backend
+    /// accumulates each output element's `k` products in ascending
+    /// `p = 0..k` order from a `0.0` start, so results are bit-identical
+    /// across backends and for any thread count.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
@@ -416,7 +415,7 @@ impl Tensor {
 
     /// `selfᵀ × other` without materialising the transpose.
     ///
-    /// Dispatches to the active [`crate::backend`]; per-element accumulation
+    /// Dispatches to [`crate::backend::CpuBlocked`]; per-element accumulation
     /// runs in `p = 0..k` order from a `0.0` start in every backend, so the
     /// result is bit-identical across backends and thread counts.
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
@@ -446,7 +445,7 @@ impl Tensor {
 
     /// `self × otherᵀ` without materialising the transpose.
     ///
-    /// Dispatches to the active [`crate::backend`]; per-element accumulation
+    /// Dispatches to [`crate::backend::CpuBlocked`]; per-element accumulation
     /// runs in index order from a `0.0` start in every backend, so the
     /// result is bit-identical across backends and thread counts.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
@@ -480,7 +479,7 @@ impl Tensor {
     /// already be `(self.rows, other.cols)`, and its existing contents are
     /// accumulated into, which is the point: this is the adapter merge
     /// kernel (`W_eff = W + (α/r)·down·up`) and the general `C += s·A·B`
-    /// building block. Dispatches to the active [`crate::backend`]; the
+    /// building block. Dispatches to [`crate::backend::CpuBlocked`]; the
     /// product uses the backend's own GEMM (ascending-`p` accumulation) and
     /// the fold-in runs in index order, so results are bit-identical across
     /// backends and thread counts and exactly match the naive composition
@@ -1016,7 +1015,7 @@ mod tests {
 
     #[test]
     fn addmm_scaled_matches_naive_composition_bitwise() {
-        // Whatever backend is active services both sides, so this pins the
+        // The dispatched backend services both sides, so this pins the
         // addmm contract (product via the backend GEMM, fold-in in index
         // order) to the naive composition exactly, bit for bit.
         let mut rng = Rng::new(77);

@@ -3,15 +3,15 @@
 //! caches, optimizer state), repeated `train_step` / `forward_scratch` /
 //! `backward_scratch` calls must never touch the heap.
 //!
-//! The audit pins `TASFAR_THREADS = 1`: the parallel runtime's pooled
-//! dispatch allocates its job handle by design, while the inline path (one
-//! thread) is allocation-free — and bit-identity across thread counts is
-//! already pinned elsewhere, so auditing the single-thread path covers the
+//! Each audit pins one compute thread on its own test thread (`set_threads`
+//! is a per-thread override): the parallel runtime's pooled dispatch
+//! allocates its job handle by design, while the inline path (one thread)
+//! is allocation-free — and bit-identity across thread counts is already
+//! pinned elsewhere, so auditing the single-thread path covers the
 //! arithmetic all configurations share.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 
 use tasfar_nn::parallel::{reset_threads, set_threads};
 use tasfar_nn::prelude::*;
@@ -48,9 +48,6 @@ fn alloc_count() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
-/// `set_threads` is process-global; serialize the tests that pin it.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
 fn mlp_with_batchnorm(rng: &mut Rng) -> Sequential {
     Sequential::new()
         .add(Dense::new(4, 16, Init::HeNormal, rng))
@@ -64,7 +61,6 @@ fn mlp_with_batchnorm(rng: &mut Rng) -> Sequential {
 
 #[test]
 fn train_step_is_allocation_free_after_warmup() {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_threads(1);
 
     let mut rng = Rng::new(1);
@@ -115,7 +111,6 @@ fn train_step_is_allocation_free_after_warmup() {
 
 #[test]
 fn tcn_train_step_is_allocation_free_after_warmup() {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_threads(1);
 
     // The PDR shape: a 6→16 block (two 8-row register panels of output
@@ -176,7 +171,6 @@ fn tcn_train_step_is_allocation_free_after_warmup() {
 
 #[test]
 fn forward_backward_scratch_are_allocation_free_after_warmup() {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_threads(1);
 
     let mut rng = Rng::new(3);
@@ -211,7 +205,6 @@ fn forward_backward_scratch_are_allocation_free_after_warmup() {
 
 #[test]
 fn blocked_gemm_packing_is_allocation_free_after_warmup() {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_threads(1);
 
     // The MLP-sized audits above stay below the blocking cutoff; this one
@@ -219,7 +212,6 @@ fn blocked_gemm_packing_is_allocation_free_after_warmup() {
     // covers panel packing. The first call grows the thread-local pack
     // buffers; afterwards every call must reuse them — including across an
     // interleaved smaller blocked shape, which must not shrink capacity.
-    tasfar_nn::backend::set_backend(tasfar_nn::backend::BackendKind::Blocked);
     let mut rng = Rng::new(5);
     let a = Tensor::rand_normal(256, 256, 0.0, 1.0, &mut rng);
     let b = Tensor::rand_normal(256, 256, 0.0, 1.0, &mut rng);
@@ -240,7 +232,6 @@ fn blocked_gemm_packing_is_allocation_free_after_warmup() {
         a.matmul_t_into(&b, &mut out);
     }
     let delta = alloc_count() - before;
-    tasfar_nn::backend::reset_backend();
     reset_threads();
     assert_eq!(
         delta, 0,
@@ -250,7 +241,6 @@ fn blocked_gemm_packing_is_allocation_free_after_warmup() {
 
 #[test]
 fn arena_serves_steady_state_from_reuses() {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_threads(1);
 
     let mut rng = Rng::new(4);

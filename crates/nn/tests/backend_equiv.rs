@@ -1,24 +1,20 @@
-//! Cross-backend equivalence: the public tensor API must produce
-//! bit-identical results under `naive` and `blocked`, for every GEMM
-//! variant, over shapes chosen to stress the blocked driver — non-square,
-//! degenerate (0- and 1-sized dimensions), prime-sized, and large enough to
-//! cross the blocking cutoff. The in-module tests in `backend::blocked`
-//! exercise the kernels directly; this suite goes through `set_backend` and
-//! the `Tensor` entry points, the path real callers take.
-//!
-//! Every test flips the process-global backend, so the suite serialises on
-//! one mutex (tests within a binary run concurrently by default).
+//! Cross-backend equivalence: `CpuNaive` and `CpuBlocked`, called through
+//! `&dyn Backend` on the same inputs, must produce bit-identical results for
+//! every GEMM variant, the scaled-accumulate GEMM and the causal conv
+//! forward and backward. GEMM shapes are chosen to stress the blocked
+//! loop nest — non-square, degenerate (1-sized dimensions), prime-sized, and
+//! large enough to cross the blocking cutoff. The in-module tests in
+//! `backend::blocked` sweep the tiling schemes; this suite is the
+//! trait-level contract, plus pack-buffer reuse and the dispatch counters
+//! of the `Tensor` and `Conv1d` entry points real callers take.
 
-use std::sync::Mutex;
-use tasfar_nn::backend::{self, BackendKind};
+use tasfar_nn::backend::{self, Backend, Conv1dGeometry, CpuBlocked, CpuNaive};
 use tasfar_nn::rng::Rng;
+use tasfar_nn::scratch::Scratch;
 use tasfar_nn::tensor::Tensor;
 
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+const NAIVE: &dyn Backend = &CpuNaive;
+const BLOCKED: &dyn Backend = &CpuBlocked::with_tiling(backend::TilingScheme::DEFAULT);
 
 fn rand_tensor(rows: usize, cols: usize, rng: &mut Rng) -> Tensor {
     Tensor::rand_normal(rows, cols, 0.0, 1.0, rng)
@@ -51,67 +47,89 @@ fn shapes() -> Vec<(usize, usize, usize)> {
     ]
 }
 
-/// Runs `f` under both backends and returns the two results.
-fn under_both(f: impl Fn() -> Tensor) -> (Tensor, Tensor) {
-    backend::set_backend(BackendKind::Naive);
-    let naive = f();
-    backend::set_backend(BackendKind::Blocked);
-    let blocked = f();
-    backend::reset_backend();
-    (naive, blocked)
+/// Which GEMM variant a shape runs as.
+#[derive(Clone, Copy)]
+enum Gemm {
+    Matmul,
+    TMatmul,
+    MatmulT,
+}
+
+/// Runs one GEMM variant on `bk` into a NaN-filled output, so a cell the
+/// kernel fails to define shows up as a mismatch.
+fn gemm(bk: &dyn Backend, op: Gemm, m: usize, k: usize, n: usize, a: &[f64], b: &[f64]) -> Tensor {
+    let mut out = Tensor::from_vec(m, n, vec![f64::NAN; m * n]);
+    let o = out.as_mut_slice();
+    match op {
+        Gemm::Matmul => bk.matmul_into(m, k, n, a, b, o),
+        Gemm::TMatmul => bk.t_matmul_into(m, k, n, a, b, o),
+        Gemm::MatmulT => bk.matmul_t_into(m, k, n, a, b, o),
+    }
+    out
+}
+
+/// Every shape under both backends, with `a` and `b` stored as the variant
+/// reads them (`t_matmul`'s A is `k×m`, `matmul_t`'s B is `n×k`).
+fn gemm_bits_match(op: Gemm, name: &str, seed: u64) {
+    let mut rng = Rng::new(seed);
+    for (m, k, n) in shapes() {
+        let (ar, ac) = match op {
+            Gemm::TMatmul => (k, m),
+            _ => (m, k),
+        };
+        let (br, bc) = match op {
+            Gemm::MatmulT => (n, k),
+            _ => (k, n),
+        };
+        let a = rand_tensor(ar, ac, &mut rng);
+        let b = rand_tensor(br, bc, &mut rng);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        assert_bits_eq(
+            &gemm(NAIVE, op, m, k, n, a, b),
+            &gemm(BLOCKED, op, m, k, n, a, b),
+            &format!("{name} {m}x{k}x{n}"),
+        );
+    }
 }
 
 #[test]
 fn matmul_bits_match_across_backends() {
-    let _g = lock();
-    let mut rng = Rng::new(0xBE01);
-    for (m, k, n) in shapes() {
-        let a = rand_tensor(m, k, &mut rng);
-        let b = rand_tensor(k, n, &mut rng);
-        let (nv, bl) = under_both(|| a.matmul(&b));
-        assert_bits_eq(&nv, &bl, &format!("matmul {m}x{k}x{n}"));
-    }
+    gemm_bits_match(Gemm::Matmul, "matmul", 0xBE01);
 }
 
 #[test]
 fn t_matmul_bits_match_across_backends() {
-    let _g = lock();
-    let mut rng = Rng::new(0xBE02);
-    for (m, k, n) in shapes() {
-        let a = rand_tensor(k, m, &mut rng);
-        let b = rand_tensor(k, n, &mut rng);
-        let (nv, bl) = under_both(|| a.t_matmul(&b));
-        assert_bits_eq(&nv, &bl, &format!("t_matmul {m}x{k}x{n}"));
-    }
+    gemm_bits_match(Gemm::TMatmul, "t_matmul", 0xBE02);
 }
 
 #[test]
 fn matmul_t_bits_match_across_backends() {
-    let _g = lock();
-    let mut rng = Rng::new(0xBE03);
-    for (m, k, n) in shapes() {
-        let a = rand_tensor(m, k, &mut rng);
-        let b = rand_tensor(n, k, &mut rng);
-        let (nv, bl) = under_both(|| a.matmul_t(&b));
-        assert_bits_eq(&nv, &bl, &format!("matmul_t {m}x{k}x{n}"));
-    }
+    gemm_bits_match(Gemm::MatmulT, "matmul_t", 0xBE03);
 }
 
 #[test]
 fn addmm_scaled_bits_match_across_backends() {
-    let _g = lock();
     let mut rng = Rng::new(0xBE07);
+    let mut scratch = Scratch::new();
     for (m, k, n) in shapes() {
         let a = rand_tensor(m, k, &mut rng);
         let b = rand_tensor(k, n, &mut rng);
         let base = rand_tensor(m, n, &mut rng);
-        let (nv, bl) = under_both(|| {
+        let mut run = |bk: &dyn Backend| {
             let mut out = base.clone();
-            tasfar_nn::scratch::with(|scratch| {
-                a.addmm_scaled_into(&b, 0.375, &mut out, scratch);
-            });
+            bk.addmm_scaled_into(
+                m,
+                k,
+                n,
+                0.375,
+                a.as_slice(),
+                b.as_slice(),
+                out.as_mut_slice(),
+                &mut scratch,
+            );
             out
-        });
+        };
+        let (nv, bl) = (run(NAIVE), run(BLOCKED));
         assert_bits_eq(&nv, &bl, &format!("addmm_scaled {m}x{k}x{n}"));
     }
 }
@@ -155,113 +173,129 @@ fn edge_tensor(rows: usize, cols: usize, rng: &mut Rng, p_zero: f64, p_inf: f64)
 
 #[test]
 fn conv_layers_bits_match_across_backends() {
-    use tasfar_nn::adapter::AdapterConfig;
-    use tasfar_nn::layers::{Conv1d, Layer, Mode};
-    let _g = lock();
-    // Forward + backward through the Conv1d layer (the dispatch path the
-    // TCN takes) over random geometries: channels past one register panel,
-    // every kernel size and dilation, causal reach at or past the window
-    // (`(k-1)·dil >= T`), batches across the 8-row backward chunk, and
-    // adapters on and off (the `W_eff` path).
+    // Forward, `grad_input` and the accumulated `dw`/`db` over random
+    // geometries: channels past one register panel, every kernel size and
+    // dilation, causal reach at or past the window (`(k-1)·dil >= T`), and
+    // batches across the 8-row backward chunk. An adapter's `W_eff` reaches
+    // the kernels as just another weight array, so the weights here cover
+    // it. `dw`/`db` start from nonzero values: the kernels accumulate.
     let mut cases = Rng::new(0xBE04);
+    let mut scratch = Scratch::new();
     for case in 0..160 {
-        let in_ch = 1 + cases.below(20);
-        let out_ch = 1 + cases.below(20);
-        let kernel = 1 + cases.below(5);
-        let dilation = 1 + cases.below(5);
-        let t_len = 1 + cases.below(40);
+        let geo = Conv1dGeometry {
+            in_ch: 1 + cases.below(20),
+            out_ch: 1 + cases.below(20),
+            kernel: 1 + cases.below(5),
+            dilation: 1 + cases.below(5),
+            time_len: 1 + cases.below(40),
+        };
         let batch = 1 + cases.below(70);
-        let adapters = cases.bernoulli(0.3);
         // Every third case is zero-heavy (signed zeros everywhere, the
         // bias included); every fifth carries infinities.
         let p_zero = if case % 3 == 0 { 0.5 } else { 0.05 };
         let p_inf = if case % 5 == 0 { 0.01 } else { 0.0 };
-        let seed = cases.u64();
-        let run = || {
-            let mut rng = Rng::new(seed);
-            let mut conv = Conv1d::new(in_ch, out_ch, kernel, dilation, t_len, &mut rng);
-            conv.visit_base_params(&mut |p| {
-                let (r, c) = p.value.shape();
-                p.value = edge_tensor(r, c, &mut rng, p_zero, p_inf);
-            });
-            if adapters {
-                conv.attach_adapters(&AdapterConfig::rank(1 + rng.below(4)), &mut rng);
-                conv.visit_params(&mut |p| {
-                    let (r, c) = p.value.shape();
-                    p.value = edge_tensor(r, c, &mut rng, p_zero, 0.0);
-                });
-            }
-            let x = edge_tensor(batch, in_ch * t_len, &mut rng, p_zero, p_inf);
-            let g = edge_tensor(batch, out_ch * t_len, &mut rng, p_zero, p_inf);
-            let y = conv.forward(&x, Mode::Train);
-            let dx = conv.backward(&g);
-            let mut grads: Vec<Tensor> = Vec::new();
-            conv.visit_params(&mut |p| grads.push(p.grad.clone()));
-            (y, dx, grads)
+        let mut rng = Rng::new(cases.u64());
+        let w = edge_tensor(geo.out_ch, geo.in_ch * geo.kernel, &mut rng, p_zero, p_inf);
+        let bias = edge_tensor(1, geo.out_ch, &mut rng, p_zero, p_inf);
+        let x = edge_tensor(batch, geo.input_width(), &mut rng, p_zero, p_inf);
+        let g = edge_tensor(batch, geo.output_width(), &mut rng, p_zero, p_inf);
+        let dw0 = edge_tensor(geo.out_ch, geo.in_ch * geo.kernel, &mut rng, p_zero, 0.0);
+        let db0 = edge_tensor(1, geo.out_ch, &mut rng, p_zero, 0.0);
+        let mut run = |bk: &dyn Backend| {
+            let mut y = Tensor::zeros(batch, geo.output_width());
+            bk.conv1d_forward(&geo, &x, w.as_slice(), bias.as_slice(), &mut y);
+            let (mut dw, mut db) = (dw0.clone(), db0.clone());
+            let mut dx = Tensor::zeros(batch, geo.input_width());
+            bk.conv1d_backward(
+                &geo,
+                &x,
+                &g,
+                w.as_slice(),
+                dw.as_mut_slice(),
+                db.as_mut_slice(),
+                &mut dx,
+                &mut scratch,
+            );
+            [y, dx, dw, db]
         };
-        backend::set_backend(BackendKind::Naive);
-        let (y_n, dx_n, g_n) = run();
-        backend::set_backend(BackendKind::Blocked);
-        let (y_b, dx_b, g_b) = run();
-        backend::reset_backend();
-        let what = format!(
-            "conv case {case}: {in_ch}->{out_ch} k={kernel} d={dilation} T={t_len} \
-             batch={batch} adapters={adapters}"
-        );
-        assert_bits_eq_nan(&y_n, &y_b, &format!("{what} forward"));
-        assert_bits_eq_nan(&dx_n, &dx_b, &format!("{what} grad_input"));
-        for (i, (gn, gb)) in g_n.iter().zip(&g_b).enumerate() {
-            assert_bits_eq_nan(gn, gb, &format!("{what} param grad {i}"));
+        let (naive, blocked) = (run(NAIVE), run(BLOCKED));
+        let what = format!("conv case {case}: {geo:?} batch={batch}");
+        for (part, (n, b)) in ["forward", "grad_input", "dw", "db"]
+            .iter()
+            .zip(naive.iter().zip(&blocked))
+        {
+            assert_bits_eq_nan(n, b, &format!("{what} {part}"));
         }
     }
 }
 
 #[test]
 fn blocked_packing_reaches_steady_state_without_alloc_churn() {
-    let _g = lock();
     // The pack buffers are thread-local and retained: after one warmup call
     // above the blocking cutoff, repeated calls must reuse them. There is no
     // counting allocator in this binary, so assert the observable contract
     // instead: results stay bit-identical call over call (buffers are
     // re-filled, never stale) including after an intervening *smaller*
-    // blocked call that shrinks the packed extent.
-    backend::set_backend(BackendKind::Blocked);
+    // blocked call that shrinks the packed extent. (The calls go through
+    // the trait, not `Tensor`, so the dispatch counter test below counts
+    // its own calls only.)
     let mut rng = Rng::new(0xBE05);
     let a = Tensor::rand_normal(256, 256, 0.0, 1.0, &mut rng);
     let b = Tensor::rand_normal(256, 256, 0.0, 1.0, &mut rng);
     let small_a = Tensor::rand_normal(64, 80, 0.0, 1.0, &mut rng);
     let small_b = Tensor::rand_normal(80, 64, 0.0, 1.0, &mut rng);
-    let mut out = Tensor::zeros(1, 1);
-    a.matmul_into(&b, &mut out);
-    let first = out.clone();
+    let big = || {
+        gemm(
+            BLOCKED,
+            Gemm::Matmul,
+            256,
+            256,
+            256,
+            a.as_slice(),
+            b.as_slice(),
+        )
+    };
+    let first = big();
     for _ in 0..3 {
-        let mut small_out = Tensor::zeros(1, 1);
-        small_a.matmul_into(&small_b, &mut small_out);
-        a.matmul_into(&b, &mut out);
-        assert_bits_eq(&out, &first, "steady-state blocked matmul");
+        gemm(
+            BLOCKED,
+            Gemm::Matmul,
+            64,
+            80,
+            64,
+            small_a.as_slice(),
+            small_b.as_slice(),
+        );
+        assert_bits_eq(&big(), &first, "steady-state blocked matmul");
     }
-    backend::reset_backend();
 }
 
+/// Each `Tensor` GEMM and `Conv1d` kernel call adds one dispatch, served by
+/// the blocked backend. No other test in this binary dispatches.
 #[test]
 fn dispatch_counters_attribute_to_active_backend() {
-    let _g = lock();
+    use tasfar_nn::layers::{Conv1d, Layer, Mode};
     let mut rng = Rng::new(0xBE06);
     let a = Tensor::rand_normal(8, 8, 0.0, 1.0, &mut rng);
     let b = Tensor::rand_normal(8, 8, 0.0, 1.0, &mut rng);
+    let mut conv = Conv1d::new(2, 3, 3, 1, 5, &mut rng);
+    let x = Tensor::rand_normal(4, 10, 0.0, 1.0, &mut rng);
+    let g = Tensor::rand_normal(4, 15, 0.0, 1.0, &mut rng);
 
-    backend::set_backend(BackendKind::Naive);
-    let before = backend::stats();
-    let _ = a.matmul(&b);
-    let after = backend::stats();
-    assert_eq!(after.naive_calls, before.naive_calls + 1);
-    assert_eq!(after.blocked_calls, before.blocked_calls);
-
-    backend::set_backend(BackendKind::Blocked);
-    let before = backend::stats();
-    let _ = a.matmul(&b);
-    let after = backend::stats();
-    assert_eq!(after.blocked_calls, before.blocked_calls + 1);
-    assert_eq!(after.naive_calls, before.naive_calls);
-    backend::reset_backend();
+    let calls = |what: &str, f: &mut dyn FnMut()| {
+        let before = backend::stats();
+        f();
+        let after = backend::stats();
+        assert_eq!(
+            after.blocked_calls,
+            before.blocked_calls + 1,
+            "{what}: one blocked dispatch"
+        );
+        assert_eq!(after.naive_calls, 0, "{what}: dispatch never serves naive");
+    };
+    calls("matmul", &mut || drop(a.matmul(&b)));
+    calls("t_matmul", &mut || drop(a.t_matmul(&b)));
+    calls("matmul_t", &mut || drop(a.matmul_t(&b)));
+    calls("conv forward", &mut || drop(conv.forward(&x, Mode::Train)));
+    calls("conv backward", &mut || drop(conv.backward(&g)));
 }

@@ -3,8 +3,9 @@
 //! The contract of `tasfar_nn::parallel` is that chunk boundaries depend
 //! only on the problem size and per-chunk results combine in chunk order, so
 //! every kernel must produce *bit-identical* output whether it runs on one
-//! thread, four threads, or the machine default. These tests pin the global
-//! thread count and compare raw `f64` bits.
+//! thread, four threads, or the machine default. These tests pin the test
+//! thread's own count (`set_threads` is a per-thread override) and compare
+//! raw `f64` bits.
 
 use tasfar_nn::parallel::{reset_threads, set_threads};
 use tasfar_nn::prelude::*;

@@ -3,15 +3,10 @@
 //! pair-blocked kernels' tail path), and widths that are not a multiple of
 //! the 4-wide unrolled tail.
 
-use std::sync::Mutex;
-
 use tasfar_nn::parallel::{reset_threads, set_threads};
 use tasfar_nn::prelude::*;
 
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
 fn at_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_threads(n);
     let out = f();
     reset_threads();

@@ -115,16 +115,12 @@ pub fn sync_arena_metrics() {
     crate::metrics::gauge("arena.bytes_peak").set(stats.bytes_peak as i64);
 }
 
-/// The compute-backend dispatch counters as one JSON object: the active
-/// backend plus cumulative kernel dispatches served by each
+/// The compute-backend dispatch counters as one JSON object: cumulative
+/// kernel dispatches served by each backend
 /// ([`tasfar_nn::backend::stats`]).
 pub fn backend_stats_json() -> Json {
     let stats = tasfar_nn::backend::stats();
     Json::obj(vec![
-        (
-            "active",
-            Json::from(tasfar_nn::backend::active_kind().name()),
-        ),
         ("naive_calls", Json::UInt(stats.naive_calls)),
         ("blocked_calls", Json::UInt(stats.blocked_calls)),
     ])
@@ -299,8 +295,6 @@ mod tests {
             + crate::metrics::gauge("backend.blocked.calls").get();
         assert!(mirrored >= (before.naive_calls + before.blocked_calls) as i64);
         let v = backend_stats_json();
-        let active = v.field("active").unwrap().as_str().unwrap().to_string();
-        assert!(active == "naive" || active == "blocked");
         assert!(v.field("naive_calls").unwrap().as_u64().is_ok());
         assert!(v.field("blocked_calls").unwrap().as_u64().is_ok());
     }

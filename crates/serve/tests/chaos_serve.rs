@@ -2,14 +2,14 @@
 //! tenant, rejected requests carry a typed `Overloaded`, and an evict storm
 //! rehydrates bit-identically mid-batch.
 //!
-//! The armed-fault slot is process-global, so the fault-arming tests share
-//! one mutex and always disarm on entry.
+//! The armed-fault slot is thread-local, so a fault lands only on batches
+//! processed by the thread that armed it, and the tests run concurrently.
 
 mod support;
 
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tasfar_core::faultinject::{self, Fault};
 use tasfar_nn::prelude::*;
@@ -17,8 +17,6 @@ use tasfar_serve::{
     generate, hash_tensor_bits, CompletionKind, OpClass, OpSpec, Residency, ServeConfig,
     ServeError, TrafficConfig,
 };
-
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn serve_faults_parse_from_chaos_spec() {
@@ -34,8 +32,6 @@ fn serve_faults_parse_from_chaos_spec() {
 
 #[test]
 fn overload_rejections_are_typed_and_recoverable() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let rt = support::runtime(ServeConfig {
         queue_depth: 4,
         batch_window: 4,
@@ -82,16 +78,14 @@ fn overload_rejections_are_typed_and_recoverable() {
 /// complete within the watchdog budget — no deadlock, no stranded work.
 #[test]
 fn slow_tenant_gauntlet_never_deadlocks() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let rt = support::runtime(ServeConfig {
         shards: 8,
         queue_depth: 64,
         batch_window: 16,
         ..ServeConfig::default()
     });
-    let injected_before = tasfar_obs::metrics::counter("chaos.injected.serve_slow_tenant").get();
-    faultinject::arm(Fault::ServeSlowTenant);
+    let slow_injected = || tasfar_obs::metrics::counter("chaos.injected.serve_slow_tenant").get();
+    let injected_before = slow_injected();
 
     let (tx, rx) = mpsc::channel();
     let workers: Vec<_> = (0..2)
@@ -99,6 +93,19 @@ fn slow_tenant_gauntlet_never_deadlocks() {
             let mut worker = rt.worker(60 + i);
             let tx = tx.clone();
             thread::spawn(move || {
+                if i == 0 {
+                    // Only this worker's first predict batch turns slow.
+                    faultinject::arm(Fault::ServeSlowTenant);
+                } else {
+                    // Join once that batch is under way (the injection
+                    // counter ticks as worker 0 takes the fault), so worker
+                    // 0 is sure to take it and this worker drains the
+                    // queue around it.
+                    let deadline = Instant::now() + Duration::from_secs(60);
+                    while slow_injected() == injected_before && Instant::now() < deadline {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                }
                 worker.run_until_closed(|c| {
                     let _ = tx.send(c);
                 });
@@ -150,7 +157,7 @@ fn slow_tenant_gauntlet_never_deadlocks() {
         w.join().expect("worker thread must exit cleanly");
     }
     assert_eq!(
-        tasfar_obs::metrics::counter("chaos.injected.serve_slow_tenant").get(),
+        slow_injected(),
         injected_before + 1,
         "the slow-tenant fault must have been injected exactly once"
     );
@@ -158,8 +165,6 @@ fn slow_tenant_gauntlet_never_deadlocks() {
 
 #[test]
 fn evict_storm_rehydrates_bit_identically_mid_batch() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let rt = support::runtime(ServeConfig {
         shards: 4,
         batch_window: 16,
@@ -237,8 +242,6 @@ fn evict_storm_rehydrates_bit_identically_mid_batch() {
 /// eviction that serialised it panicked the worker.)
 #[test]
 fn overflowing_cold_literal_degrades_to_source_through_adapt_and_evict() {
-    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultinject::disarm();
     let rt = support::runtime(ServeConfig::default());
     let mut worker = rt.worker(71);
     let mut rng = Rng::new(30);

@@ -9,12 +9,24 @@
 //! 2. source-free adaptation with *unlabeled* target inputs only.
 //!
 //! Run with: `cargo run --release -p examples --bin quickstart`
+//!
+//! `TASFAR_CHAOS=<fault>[:<seed>]` sabotages the guarded adaptation with one
+//! injected fault (e.g. `nan_batch`); an unknown fault name exits with
+//! status 2 and lists the accepted names.
 
+use tasfar_core::faultinject;
 use tasfar_core::prelude::*;
 use tasfar_data::Dataset;
 use tasfar_nn::prelude::*;
 
 fn main() {
+    // Parsed up front so a misspelled fault fails before any training.
+    let chaos = std::env::var("TASFAR_CHAOS").ok().map(|v| {
+        faultinject::parse_spec(&v).unwrap_or_else(|e| {
+            eprintln!("TASFAR_CHAOS: {e}");
+            std::process::exit(2);
+        })
+    });
     let mut rng = Rng::new(42);
 
     // ---- source scenario: y uniform in [−1, 1], mostly clean inputs ----
@@ -129,8 +141,12 @@ fn main() {
     // The guarded entry point wraps the pipeline in the fault-tolerant
     // path: recoverable errors trigger policy-driven retries, and anything
     // unrecoverable rolls the model back to the source checkpoint
-    // (do-no-harm). Honors `TASFAR_CHAOS` fault injection.
+    // (do-no-harm). A `TASFAR_CHAOS` fault is armed just before the run, so
+    // it lands on the adaptation, not on calibration.
     let before = metrics::mse(&model.predict(&xt), &yt);
+    if let Some((fault, seed)) = chaos {
+        faultinject::arm_seeded(fault, seed);
+    }
     let outcome = adapt_guarded(
         &mut model,
         &calib,

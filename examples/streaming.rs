@@ -9,19 +9,29 @@
 //! through the guarded snapshot/rollback path — degrading to the last
 //! good checkpoint rather than shipping a wrecked model.
 //!
-//! Honors `TASFAR_CHAOS` mid-stream fault injection (try
-//! `TASFAR_CHAOS=drift_flap` or `TASFAR_CHAOS=stream_nan_burst`) and
-//! `TASFAR_TRACE` for a structured trace of the run (`drift_trip` events,
-//! `readapt` spans, the pipeline stages of every micro-batch).
+//! Honors `TASFAR_CHAOS=<fault>[:<seed>]` mid-stream fault injection (try
+//! `TASFAR_CHAOS=drift_flap` or `TASFAR_CHAOS=stream_nan_burst`; an unknown
+//! fault name exits with status 2) and `TASFAR_TRACE` for a structured
+//! trace of the run (`drift_trip` events, `readapt` spans, the pipeline
+//! stages of every micro-batch).
 //!
 //! Run with: `cargo run --release -p examples --bin streaming`
 
+use tasfar_core::faultinject;
 use tasfar_core::metrics;
 use tasfar_core::prelude::*;
 use tasfar_data::sensor::{self, SensorConfig};
 use tasfar_nn::prelude::*;
 
 fn main() {
+    // Parsed up front so a misspelled fault fails before any training.
+    let chaos = std::env::var("TASFAR_CHAOS").ok().map(|v| {
+        faultinject::parse_spec(&v).unwrap_or_else(|e| {
+            eprintln!("TASFAR_CHAOS: {e}");
+            std::process::exit(2);
+        })
+    });
+
     // ---- the deployment: steady regime, slow creep, abrupt jump ---------
     let sensor_cfg = SensorConfig {
         n_source: 800,
@@ -66,8 +76,6 @@ fn main() {
     let source_mae = metrics::mae(&model.predict(&world.stream.x), &world.stream.y);
 
     // ---- deployment side: stream the target through the engine ----------
-    // `StreamAdapter::new` is the streaming chaos entry point: TASFAR_CHAOS
-    // faults armed in the environment land mid-stream.
     let stream_cfg = StreamConfig {
         window: 192,
         warmup: 128,
@@ -87,6 +95,11 @@ fn main() {
         RecoveryPolicy::default(),
     )
     .expect("valid streaming geometry");
+    // A `TASFAR_CHAOS` fault is armed on this thread, which pushes the
+    // stream, so it lands mid-stream rather than on calibration.
+    if let Some((fault, seed)) = chaos {
+        faultinject::arm_seeded(fault, seed);
+    }
 
     // Prequential scoring: each chunk is predicted before it is ingested,
     // so the error curve is honest (the ground truth below is never shown

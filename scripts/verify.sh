@@ -33,18 +33,14 @@ echo "==> alloc-audit gate (zero steady-state heap allocations)"
 cargo test -q --release -p tasfar-nn --test alloc_audit
 cargo test -q --release -p tasfar-core --test alloc_audit
 
-# Backend gate: the numeric invariants must hold under BOTH compute
-# backends. The golden adaptation hashes and the gradchecks pin the exact
-# bits, so passing under naive and blocked proves the backends are
-# bit-identical end-to-end; the alloc audit proves blocked's pack buffers
-# stay out of the steady-state heap.
-echo "==> backend gate (golden hashes + gradcheck + alloc audit, both backends)"
-for be in naive blocked; do
-    echo "    TASFAR_BACKEND=$be"
-    TASFAR_BACKEND="$be" cargo test -q --release -p tasfar-core --test golden_adapt
-    TASFAR_BACKEND="$be" cargo test -q --release -p tasfar-nn --lib gradcheck
-    TASFAR_BACKEND="$be" cargo test -q --release -p tasfar-nn --test alloc_audit
-done
+# Backend gate: every kernel call runs on CpuBlocked, and CpuNaive is the
+# bit-exact reference. The equivalence suite calls both through the Backend
+# trait on the same inputs — every GEMM variant, the scaled-accumulate GEMM,
+# and the conv forward/backward over signed zeros, subnormals and ±inf — and
+# compares bits. (Golden hashes, gradchecks and the alloc audit run on the
+# one backend in the alloc and adapter gates.)
+echo "==> backend gate (CpuNaive vs CpuBlocked, bit for bit, release build)"
+cargo test -q --release -p tasfar-nn --test backend_equiv
 
 # Bench smoke: the binary self-checks on every release run — it aborts
 # unless the fused MC-dropout path beats the per-pass path, the blocked
@@ -107,16 +103,27 @@ fi
 
 # Chaos gate: the fault-injection suite must hold (every fault class caught,
 # classified, recovered or degraded per policy, rollbacks bit-identical) and
-# a sabotaged quickstart must survive end-to-end — TASFAR_CHAOS poisons the
-# adaptation batch with NaNs, the guard must fall back to the source
-# checkpoint, exit 0, and leave the recovery events in the trace.
+# a sabotaged quickstart must survive end-to-end — the quickstart parses
+# TASFAR_CHAOS itself and arms the fault before its guarded run, which
+# poisons the adaptation batch with NaNs; the guard must fall back to the
+# source checkpoint, exit 0, and leave the recovery events in the trace. A
+# misspelled fault must make the quickstart exit 2 listing the accepted
+# names, not panic (101) and not run un-sabotaged.
 echo "==> chaos gate (fault-injection suite + sabotaged quickstart)"
-cargo test -q --release -p tasfar-core --test chaos --test chaos_env
+cargo test -q --release -p tasfar-core --test chaos
 TASFAR_CHAOS=nan_batch TASFAR_TRACE="$scratch/chaos_trace.jsonl" \
     cargo run --release -p examples --bin quickstart >/dev/null
 test -s "$scratch/chaos_trace.jsonl" || { echo "chaos gate: no trace written" >&2; exit 1; }
 cargo run --release -p tasfar-obs --bin trace-check -- "$scratch/chaos_trace.jsonl" \
     --require chaos.injected,guard.rollback,adapt_guarded
+status=0
+TASFAR_CHAOS=nan_btach cargo run --release --quiet -p examples --bin quickstart \
+    >/dev/null 2>"$scratch/chaos_typo.err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q 'accepted: nan_batch, ' "$scratch/chaos_typo.err"; then
+    cat "$scratch/chaos_typo.err" >&2
+    echo "chaos gate: TASFAR_CHAOS=nan_btach exited $status, want 2 listing the accepted faults" >&2
+    exit 1
+fi
 
 # Adapter gate: without adapters the pipeline must be bit-for-bit what it
 # was before the subspace existed (golden hashes + gradcheck), the adapter
