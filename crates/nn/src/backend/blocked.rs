@@ -1,13 +1,28 @@
 //! The cache-blocked, panel-packed backend.
 //!
-//! Classic three-level GEMM blocking (the BLIS decomposition) driven by an
-//! explicit [`TilingScheme`]: output rows split into `mc`-row slabs (one
-//! slab per parallel chunk), the reduction dimension into `kc`-deep blocks,
-//! and columns into `nc`-wide blocks. Within a block, the operands are
-//! repacked into interleaved panels — A as `mr`-row-interleaved columns,
-//! B as `nr`-column-interleaved rows — so the `mr×nr` register-tiled
-//! microkernel streams both with unit stride regardless of the original
-//! layout (which is how the transposed variants reuse the same core).
+//! A GEMM takes one of three arms, chosen from its shape alone:
+//!
+//! * **Small** (`2·m·k·n` below [`MIN_BLOCKED_FLOPS`]): the shared naive
+//!   kernels.
+//! * **Thin** (`m < mr` or `n < nr`): no packing, because no full `mr×nr`
+//!   register tile would reuse a packed panel; each operand is read once
+//!   in storage order instead. [`gemm_streamed`] serves `matmul` with
+//!   `m < mr` and every thin `t_matmul`: it reads each row of B once for
+//!   all output rows, and `t_matmul`'s transposed A row by row too. The
+//!   other thin products — `matmul` with `n < nr` and every thin
+//!   `matmul_t` — run the naive kernels, whose dot products already read
+//!   A's and B's rows contiguously.
+//! * **Packed** (everything else): classic three-level blocking (the BLIS
+//!   decomposition) driven by an explicit [`TilingScheme`]. Each
+//!   `kc`-deep step of B is packed once, on the calling thread, into
+//!   `nr`-column-interleaved panels, and every parallel row chunk reads
+//!   that one pack. A row chunk is a whole number of `mr`-row tiles,
+//!   sized from `m` and at most `mc` rows, so a product of a few dozen
+//!   rows still spreads over threads. Each chunk packs its rows of A into
+//!   `mr`-row-interleaved panels, one `kc`-deep block at a time, and the
+//!   `mr×nr` register-tiled microkernel streams both operands with unit
+//!   stride regardless of their original layout (which is how the
+//!   transposed variants reuse the same core).
 //!
 //! Conv1d runs every kernel size and dilation on one register tile. The
 //! forward and `grad_input` are per-row GEMMs whose B rows are read
@@ -23,6 +38,8 @@
 //! tile from C* for every `kc`-block after the first, so each output element
 //! remains one left-to-right sum over `p = 0..k` from `0.0` — merely
 //! round-tripped through memory between blocks, which is exact for `f64`.
+//! The streaming kernel keeps the same chain in the output row itself: the
+//! row is zeroed, then each ascending `p` adds one product to each element.
 //! Fused multiply-add is never used (Rust does not contract `a*b + c`
 //! without an explicit `mul_add`), so every partial equals the naive
 //! kernel's register value at the same point and the final bits match
@@ -40,11 +57,14 @@
 //! ## Memory discipline
 //!
 //! Pack buffers are per-thread `thread_local!` vectors grown on first use
-//! and retained, so steady-state kernels allocate nothing (the PR 5
-//! counting-allocator audits run under this backend). The scratch arena is
+//! and retained at their high-water length, so steady-state kernels
+//! allocate nothing (the counting-allocator audits in
+//! `tests/alloc_audit.rs` run under this backend) and the packers assign
+//! every slot they hand out, padding zeros included, rather than clearing
+//! the buffer first. The scratch arena is
 //! not used here because `Layer::forward` already holds the thread-local
-//! arena borrow when the kernel runs; a dedicated pair of buffers sidesteps
-//! the re-entrancy fallback that would otherwise allocate per call.
+//! arena borrow when the kernel runs; dedicated buffers sidestep the
+//! re-entrancy fallback that would otherwise allocate per call.
 
 use super::{naive, Backend, Conv1dGeometry};
 use crate::scratch::Scratch;
@@ -57,25 +77,28 @@ pub(crate) const MAX_MR: usize = 8;
 /// Largest `nr` any [`TilingScheme`] may request.
 pub(crate) const MAX_NR: usize = 8;
 
-/// GEMMs smaller than this many flops (`2·m·n·k`) skip blocking and run on
-/// the shared scalar kernels: below it, panel packing costs more than the
-/// cache misses it avoids (the MLP-sized products in the adaptation loop
-/// all land here).
+/// GEMMs smaller than this many flops (`2·m·n·k`) run on the shared naive
+/// kernels: below it, packing costs more than the cache misses it avoids,
+/// and the operands fit in cache anyway (every product of the PDR TCN
+/// lands here). Larger products pack only if they are at least one
+/// register tile tall and wide; see the module docs for the three arms.
 const MIN_BLOCKED_FLOPS: usize = 512 * 1024;
 
 /// Cache-blocking configuration for [`CpuBlocked`].
 ///
-/// `mc×kc` is the A slab kept hot in L2, `kc×nc` the B slab streamed
+/// `mc×kc` is the A block kept hot in L2, `kc×nc` the B block streamed
 /// through it, and `mr×nr` the register tile each microkernel invocation
 /// computes. Legal schemes satisfy `1 ≤ mr ≤ 8`, `1 ≤ nr ≤ 8`, `mc ≥ mr`,
 /// `nc ≥ nr`, `kc ≥ 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TilingScheme {
-    /// Output rows per cache block (also the parallel-chunk height).
+    /// Output rows per A cache block, the tallest a parallel row chunk
+    /// gets.
     pub mc: usize,
     /// Reduction depth per cache block.
     pub kc: usize,
-    /// Output columns per cache block.
+    /// Output columns per cache block (also the column block of the
+    /// streaming kernel).
     pub nc: usize,
     /// Microkernel register-tile rows.
     pub mr: usize,
@@ -87,7 +110,7 @@ impl TilingScheme {
     /// The tuned default for the f64 kernels on a modern x86 core: an
     /// `8×8` register tile (16 × 4-lane accumulator registers), a 256-deep
     /// reduction block (A and B panels of 16 KiB each, resident in L1 with
-    /// room to spare), and a 128×256 A slab (256 KiB, comfortably in L2).
+    /// room to spare), and a 128×256 A block (256 KiB, comfortably in L2).
     pub const DEFAULT: TilingScheme = TilingScheme {
         mc: 128,
         kc: 256,
@@ -134,6 +157,17 @@ impl CpuBlocked {
     pub fn tiling(&self) -> &TilingScheme {
         &self.tiling
     }
+
+    /// The arm an `m×k×n` product takes (see the module docs).
+    fn arm(&self, m: usize, k: usize, n: usize) -> Arm {
+        if gemm_flops(m, k, n) < MIN_BLOCKED_FLOPS {
+            Arm::Small
+        } else if m < self.tiling.mr || n < self.tiling.nr {
+            Arm::Thin
+        } else {
+            Arm::Packed
+        }
+    }
 }
 
 impl Default for CpuBlocked {
@@ -142,28 +176,62 @@ impl Default for CpuBlocked {
     }
 }
 
+/// Row chunks a packed GEMM is cut into while they stay between `mr` and
+/// `mc` rows: enough to spread a product of a few dozen rows over the
+/// threads, while each chunk still runs several register tiles down every
+/// B block it reads.
+const ROW_CHUNKS: usize = 8;
+
+/// How [`CpuBlocked`] runs one GEMM.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    /// Below [`MIN_BLOCKED_FLOPS`]: the naive kernel.
+    Small,
+    /// Above it but shorter than `mr` or narrower than `nr`: unpacked.
+    Thin,
+    /// The packed, register-tiled driver [`gemm_blocked`].
+    Packed,
+}
+
 thread_local! {
-    /// Per-thread (A, B) pack buffers: grown to the high-water panel size on
-    /// first use and retained, so steady-state packing never allocates.
-    static PACK_BUFS: RefCell<(Vec<f64>, Vec<f64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-thread A panels: one row chunk's `kc`-deep block at a time.
+    static A_PACK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// One `kc`-deep step of B at a time, packed on the calling thread and
+    /// read by every row chunk.
+    static B_PACK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 fn gemm_flops(m: usize, k: usize, n: usize) -> usize {
     2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n)
 }
 
+/// `buf[..len]`, growing `buf` first when it is shorter. A retained pack
+/// buffer keeps its high-water length, so only growth writes (zeros) into
+/// it here; the packers assign every slot of the slice they are handed.
+fn panel_slice(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Length of one packed `kc_eff × nc_eff` B block: whole `nr`-wide panels.
+fn b_block_len(kc_eff: usize, nc_eff: usize, nr: usize) -> usize {
+    kc_eff * nc_eff.div_ceil(nr) * nr
+}
+
 /// Packs the `m_eff × kc_eff` A block starting at `(i0, pc)` into
 /// `mr`-interleaved panels: panel `pi` holds rows `pi·mr ..`, laid out
 /// p-major as `dst[pi·(kc_eff·mr) + p·mr + r]`. Short final panels are
-/// zero-padded to full `mr` width so every panel shares one stride.
+/// zero-padded to full `mr` width so every panel shares one stride; every
+/// slot of `dst` (which must hold exactly the padded panels) is assigned.
 ///
 /// `trans` selects the storage layout of the *logical* `m×k` operand:
 /// `false` reads `a[(i0+row)·lda + pc+p]` (row-major, `lda = k`), `true`
 /// reads `a[(pc+p)·lda + i0+row]` (stored `k×m`, `lda = m`).
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
-    dst: &mut Vec<f64>,
+    dst: &mut [f64],
     a: &[f64],
     trans: bool,
     lda: usize,
@@ -173,23 +241,25 @@ fn pack_a(
     kc_eff: usize,
     mr: usize,
 ) {
-    let panels = m_eff.div_ceil(mr);
-    dst.clear();
-    dst.resize(panels * kc_eff * mr, 0.0);
-    for pi in 0..panels {
+    debug_assert_eq!(dst.len(), m_eff.div_ceil(mr) * kc_eff * mr);
+    for (pi, panel) in dst.chunks_exact_mut(kc_eff * mr).enumerate() {
         let ir = pi * mr;
         let rows = mr.min(m_eff - ir);
-        let base = pi * kc_eff * mr;
         if trans {
-            for p in 0..kc_eff {
-                let src = &a[(pc + p) * lda + i0 + ir..][..rows];
-                dst[base + p * mr..base + p * mr + rows].copy_from_slice(src);
+            for (p, d) in panel.chunks_exact_mut(mr).enumerate() {
+                d[..rows].copy_from_slice(&a[(pc + p) * lda + i0 + ir..][..rows]);
+                d[rows..].fill(0.0);
             }
         } else {
             for r in 0..rows {
                 let src_row = &a[(i0 + ir + r) * lda + pc..][..kc_eff];
                 for (p, &v) in src_row.iter().enumerate() {
-                    dst[base + p * mr + r] = v;
+                    panel[p * mr + r] = v;
+                }
+            }
+            if rows < mr {
+                for d in panel.chunks_exact_mut(mr) {
+                    d[rows..].fill(0.0);
                 }
             }
         }
@@ -198,12 +268,13 @@ fn pack_a(
 
 /// Packs the `kc_eff × n_eff` B block starting at `(pc, jc)` into
 /// `nr`-interleaved panels: panel `pj` holds columns `pj·nr ..`, laid out
-/// p-major as `dst[pj·(kc_eff·nr) + p·nr + j]`, zero-padded like
-/// [`pack_a`]. `trans = true` reads the logical `k×n` operand from `n×k`
-/// storage (`ldb = k`); `false` reads row-major (`ldb = n`).
+/// p-major as `dst[pj·(kc_eff·nr) + p·nr + j]`, zero-padded and fully
+/// assigned like [`pack_a`]. `trans = true` reads the logical `k×n`
+/// operand from `n×k` storage (`ldb = k`); `false` reads row-major
+/// (`ldb = n`).
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
-    dst: &mut Vec<f64>,
+    dst: &mut [f64],
     b: &[f64],
     trans: bool,
     ldb: usize,
@@ -213,24 +284,26 @@ fn pack_b(
     kc_eff: usize,
     nr: usize,
 ) {
-    let panels = n_eff.div_ceil(nr);
-    dst.clear();
-    dst.resize(panels * kc_eff * nr, 0.0);
-    for pj in 0..panels {
+    debug_assert_eq!(dst.len(), b_block_len(kc_eff, n_eff, nr));
+    for (pj, panel) in dst.chunks_exact_mut(kc_eff * nr).enumerate() {
         let jr = pj * nr;
         let cols = nr.min(n_eff - jr);
-        let base = pj * kc_eff * nr;
         if trans {
             for jj in 0..cols {
                 let src_col = &b[(jc + jr + jj) * ldb + pc..][..kc_eff];
                 for (p, &v) in src_col.iter().enumerate() {
-                    dst[base + p * nr + jj] = v;
+                    panel[p * nr + jj] = v;
+                }
+            }
+            if cols < nr {
+                for d in panel.chunks_exact_mut(nr) {
+                    d[cols..].fill(0.0);
                 }
             }
         } else {
-            for p in 0..kc_eff {
-                let src = &b[(pc + p) * ldb + jc + jr..][..cols];
-                dst[base + p * nr..base + p * nr + cols].copy_from_slice(src);
+            for (p, d) in panel.chunks_exact_mut(nr).enumerate() {
+                d[..cols].copy_from_slice(&b[(pc + p) * ldb + jc + jr..][..cols]);
+                d[cols..].fill(0.0);
             }
         }
     }
@@ -315,11 +388,128 @@ fn micro_edge(
     }
 }
 
-/// The blocked GEMM driver shared by all three variants: `C (m×n)` from a
+/// The streaming kernel for thin products: `C (m×n) = A · B` with the
+/// logical `m×k` A read at `a[i·rs + p·ps]` and B (`k×n`, row-major) read
+/// once, row by row, for every output row. The output is cut into blocks
+/// of at most `nc` columns and `mr·nc` values (so a block stays in L1);
+/// each block is zeroed and then, for ascending `p`, gets `a(i,p)·B[p,:]`
+/// added into each of its rows — four `p` per pass, each element held in
+/// a register across its four adds, which are still made one multiply and
+/// one add at a time in ascending `p`. Every element is therefore the naive
+/// kernel's chain from `0.0`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_streamed(
+    ts: &TilingScheme,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    rs: usize,
+    ps: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
+    let w_max = ts.nc.min(n);
+    let block_rows = (ts.mr * ts.nc / w_max).max(1);
+    for i0 in (0..m).step_by(block_rows) {
+        let rows = i0..m.min(i0 + block_rows);
+        for jc in (0..n).step_by(w_max) {
+            let w = w_max.min(n - jc);
+            for i in rows.clone() {
+                out[i * n + jc..][..w].fill(0.0);
+            }
+            let mut p = 0;
+            while p + 4 <= k {
+                let b_rows = [0, 1, 2, 3].map(|q| &b[(p + q) * n + jc..][..w]);
+                for i in rows.clone() {
+                    let [a0, a1, a2, a3] = [0, 1, 2, 3].map(|q| a[i * rs + (p + q) * ps]);
+                    let row = out[i * n + jc..][..w].iter_mut();
+                    for ((((o, &b0), &b1), &b2), &b3) in row
+                        .zip(b_rows[0])
+                        .zip(b_rows[1])
+                        .zip(b_rows[2])
+                        .zip(b_rows[3])
+                    {
+                        let mut v = *o;
+                        v += a0 * b0;
+                        v += a1 * b1;
+                        v += a2 * b2;
+                        v += a3 * b3;
+                        *o = v;
+                    }
+                }
+                p += 4;
+            }
+            for p in p..k {
+                let b_row = &b[p * n + jc..][..w];
+                for i in rows.clone() {
+                    let ap = a[i * rs + p * ps];
+                    for (o, &bv) in out[i * n + jc..][..w].iter_mut().zip(b_row) {
+                        *o += ap * bv;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Runs the microkernels over one packed `m_eff × nc_eff` block: `a_pack`
+/// holds its `mr`-row panels, `b_block` its `nr`-column panels, and `c`
+/// starts at the block's top-left element with rows `ldc` apart.
+#[allow(clippy::too_many_arguments)]
+fn macro_kernel(
+    ts: &TilingScheme,
+    m_eff: usize,
+    nc_eff: usize,
+    kc_eff: usize,
+    a_pack: &[f64],
+    b_block: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    first: bool,
+) {
+    let (mr, nr) = (ts.mr, ts.nr);
+    for (a_panel, ir) in a_pack.chunks_exact(kc_eff * mr).zip((0..m_eff).step_by(mr)) {
+        let mr_eff = mr.min(m_eff - ir);
+        for (b_panel, jr) in b_block
+            .chunks_exact(kc_eff * nr)
+            .zip((0..nc_eff).step_by(nr))
+        {
+            let nr_eff = nr.min(nc_eff - jr);
+            let c_tile = &mut c[ir * ldc + jr..];
+            if mr_eff == mr && nr_eff == nr {
+                match (mr, nr) {
+                    (8, 8) => micro_full::<8, 8>(kc_eff, a_panel, b_panel, c_tile, ldc, first),
+                    (4, 8) => micro_full::<4, 8>(kc_eff, a_panel, b_panel, c_tile, ldc, first),
+                    (8, 4) => micro_full::<8, 4>(kc_eff, a_panel, b_panel, c_tile, ldc, first),
+                    (4, 4) => micro_full::<4, 4>(kc_eff, a_panel, b_panel, c_tile, ldc, first),
+                    (2, 8) => micro_full::<2, 8>(kc_eff, a_panel, b_panel, c_tile, ldc, first),
+                    _ => micro_edge(
+                        mr, nr, mr_eff, nr_eff, kc_eff, a_panel, b_panel, c_tile, ldc, first,
+                    ),
+                }
+            } else {
+                micro_edge(
+                    mr, nr, mr_eff, nr_eff, kc_eff, a_panel, b_panel, c_tile, ldc, first,
+                );
+            }
+        }
+    }
+}
+
+/// The packed GEMM driver shared by all three variants: `C (m×n)` from a
 /// logical `m×k` A and `k×n` B, each read through its own storage layout
-/// (see [`pack_a`]/[`pack_b`]). Parallelises over `mc`-row slabs via
-/// [`crate::parallel`] — chunk boundaries depend only on `m` and the
-/// scheme, preserving determinism across thread counts.
+/// (see [`pack_a`]/[`pack_b`]).
+///
+/// The reduction runs in `kc`-deep steps. Each step packs its rows of B —
+/// every `nc`-wide block, side by side — once, on the calling thread, into
+/// a retained buffer that all row chunks then read, so every element of B
+/// is packed once per call. A row chunk is one A block: `m / ROW_CHUNKS`
+/// rows rounded up to a multiple of `mr`, at least `mr` and at most `mc`.
+/// Chunk boundaries so depend only on `m` and the scheme (determinism
+/// across thread counts), and no register tile straddles two chunks.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     ts: &TilingScheme,
@@ -341,59 +531,52 @@ fn gemm_blocked(
         return;
     }
     let TilingScheme { mc, kc, nc, mr, nr } = *ts;
-    crate::parallel::for_each_row_chunk(out, n, mc, |rows, chunk| {
-        let i0 = rows.start;
-        let m_eff = rows.end - rows.start;
-        PACK_BUFS.with(|bufs| {
-            let mut bufs = bufs.borrow_mut();
-            let (a_pack, b_pack) = &mut *bufs;
-            for pc in (0..k).step_by(kc) {
-                let kc_eff = kc.min(k - pc);
-                let first = pc == 0;
-                pack_a(a_pack, a, a_trans, lda, i0, m_eff, pc, kc_eff, mr);
-                for jc in (0..n).step_by(nc) {
-                    let nc_eff = nc.min(n - jc);
-                    pack_b(b_pack, b, b_trans, ldb, jc, nc_eff, pc, kc_eff, nr);
-                    for (pi, ir) in (0..m_eff).step_by(mr).enumerate() {
-                        let mr_eff = mr.min(m_eff - ir);
-                        let a_panel = &a_pack[pi * kc_eff * mr..(pi + 1) * kc_eff * mr];
-                        for (pj, jr) in (0..nc_eff).step_by(nr).enumerate() {
-                            let nr_eff = nr.min(nc_eff - jr);
-                            let b_panel = &b_pack[pj * kc_eff * nr..(pj + 1) * kc_eff * nr];
-                            let c_tile = &mut chunk[ir * n + jc + jr..];
-                            if mr_eff == mr && nr_eff == nr {
-                                match (mr, nr) {
-                                    (8, 8) => micro_full::<8, 8>(
-                                        kc_eff, a_panel, b_panel, c_tile, n, first,
-                                    ),
-                                    (4, 8) => micro_full::<4, 8>(
-                                        kc_eff, a_panel, b_panel, c_tile, n, first,
-                                    ),
-                                    (8, 4) => micro_full::<8, 4>(
-                                        kc_eff, a_panel, b_panel, c_tile, n, first,
-                                    ),
-                                    (4, 4) => micro_full::<4, 4>(
-                                        kc_eff, a_panel, b_panel, c_tile, n, first,
-                                    ),
-                                    (2, 8) => micro_full::<2, 8>(
-                                        kc_eff, a_panel, b_panel, c_tile, n, first,
-                                    ),
-                                    _ => micro_edge(
-                                        mr, nr, mr_eff, nr_eff, kc_eff, a_panel, b_panel, c_tile,
-                                        n, first,
-                                    ),
-                                }
-                            } else {
-                                micro_edge(
-                                    mr, nr, mr_eff, nr_eff, kc_eff, a_panel, b_panel, c_tile, n,
-                                    first,
-                                );
-                            }
-                        }
-                    }
-                }
+    let n_padded: usize = (0..n)
+        .step_by(nc)
+        .map(|jc| b_block_len(1, nc.min(n - jc), nr))
+        .sum();
+    let rows_per_chunk = m.div_ceil(ROW_CHUNKS).next_multiple_of(mr).clamp(mr, mc);
+    B_PACK.with(|b_pack| {
+        let mut b_pack = b_pack.borrow_mut();
+        for pc in (0..k).step_by(kc) {
+            let kc_eff = kc.min(k - pc);
+            let b_step = panel_slice(&mut b_pack, kc_eff * n_padded);
+            let mut off = 0;
+            for jc in (0..n).step_by(nc) {
+                let nc_eff = nc.min(n - jc);
+                let len = b_block_len(kc_eff, nc_eff, nr);
+                pack_b(
+                    &mut b_step[off..off + len],
+                    b,
+                    b_trans,
+                    ldb,
+                    jc,
+                    nc_eff,
+                    pc,
+                    kc_eff,
+                    nr,
+                );
+                off += len;
             }
-        });
+            let b_step = &*b_step;
+            crate::parallel::for_each_row_chunk(out, n, rows_per_chunk, |rows, chunk| {
+                A_PACK.with(|a_pack| {
+                    let mut a_pack = a_pack.borrow_mut();
+                    let m_eff = rows.len();
+                    let a_block = panel_slice(&mut a_pack, m_eff.div_ceil(mr) * kc_eff * mr);
+                    pack_a(a_block, a, a_trans, lda, rows.start, m_eff, pc, kc_eff, mr);
+                    let mut off = 0;
+                    for jc in (0..n).step_by(nc) {
+                        let nc_eff = nc.min(n - jc);
+                        let len = b_block_len(kc_eff, nc_eff, nr);
+                        let b_block = &b_step[off..off + len];
+                        let c = &mut chunk[jc..];
+                        macro_kernel(ts, m_eff, nc_eff, kc_eff, a_block, b_block, c, n, pc == 0);
+                        off += len;
+                    }
+                });
+            });
+        }
     });
 }
 
@@ -764,28 +947,31 @@ impl Backend for CpuBlocked {
     }
 
     fn matmul_into(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        if gemm_flops(m, k, n) < MIN_BLOCKED_FLOPS {
-            naive::matmul_into(m, k, n, a, b, out);
-        } else {
-            gemm_blocked(&self.tiling, m, k, n, a, false, k, b, false, n, out);
+        match self.arm(m, k, n) {
+            Arm::Packed => gemm_blocked(&self.tiling, m, k, n, a, false, k, b, false, n, out),
+            Arm::Thin if m < self.tiling.mr => {
+                gemm_streamed(&self.tiling, m, k, n, a, k, 1, b, out)
+            }
+            Arm::Thin | Arm::Small => naive::matmul_into(m, k, n, a, b, out),
         }
     }
 
     fn t_matmul_into(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        if gemm_flops(m, k, n) < MIN_BLOCKED_FLOPS {
-            naive::t_matmul_into(m, k, n, a, b, out);
-        } else {
-            // A is stored k×m; the packer reads it transposed (lda = m).
-            gemm_blocked(&self.tiling, m, k, n, a, true, m, b, false, n, out);
+        // A is stored k×m: the packer reads it transposed (lda = m), and
+        // the streaming kernel at a(i, p) = a[p·m + i].
+        match self.arm(m, k, n) {
+            Arm::Packed => gemm_blocked(&self.tiling, m, k, n, a, true, m, b, false, n, out),
+            Arm::Thin => gemm_streamed(&self.tiling, m, k, n, a, 1, m, b, out),
+            Arm::Small => naive::t_matmul_into(m, k, n, a, b, out),
         }
     }
 
     fn matmul_t_into(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        if gemm_flops(m, k, n) < MIN_BLOCKED_FLOPS {
-            naive::matmul_t_into(m, k, n, a, b, out);
-        } else {
+        if self.arm(m, k, n) == Arm::Packed {
             // B is stored n×k; the packer reads it transposed (ldb = k).
             gemm_blocked(&self.tiling, m, k, n, a, false, k, b, true, k, out);
+        } else {
+            naive::matmul_t_into(m, k, n, a, b, out);
         }
     }
 
@@ -843,9 +1029,69 @@ mod tests {
             (3, 5, 7),
             (64, 300, 64),  // above cutoff, two kc-blocks via k=300
             (130, 257, 67), // prime-ish, edge tiles everywhere
-            (256, 64, 80),  // multiple mc-slabs (mc=128)
+            (256, 64, 80),  // eight row chunks of 32 rows
             (8, 600, 520),  // nc wrap (nc=512) and three kc-blocks
+            (1, 512, 512),  // thin, exactly on the cutoff
+            (5, 300, 520),  // thin rows, streamed in two column blocks
+            (600, 256, 3),  // thin columns, streamed in row blocks
         ]
+    }
+
+    #[test]
+    fn arms_follow_the_register_tile() {
+        let blocked = CpuBlocked::default();
+        for ((m, k, n), arm) in [
+            ((1, 511, 512), Arm::Small),
+            ((1, 512, 512), Arm::Thin),
+            ((7, 512, 512), Arm::Thin),
+            ((8, 512, 512), Arm::Packed),
+            ((2048, 512, 7), Arm::Thin),
+            ((2048, 512, 8), Arm::Packed),
+            ((16, 16, 16), Arm::Small),
+        ] {
+            assert_eq!(blocked.arm(m, k, n), arm, "{m}x{k}x{n}");
+        }
+    }
+
+    /// Every slot the packers hand out is assigned: data where the source
+    /// has it and `+0.0` in the padding, whatever the retained buffer held.
+    #[test]
+    fn packers_assign_every_slot_padding_included() {
+        let (mr, nr) = (8, 8);
+        let (rows, cols) = (13, 11); // logical block, ragged on both axes
+        let src: Vec<f64> = (0..rows * cols).map(|v| v as f64 + 1.0).collect();
+        let at = |r: usize, c: usize| src[r * cols + c];
+        let src_t: Vec<f64> = (0..cols * rows).map(|i| at(i % rows, i / rows)).collect();
+        for trans in [false, true] {
+            // A: the 13×11 block as m×k; stored k×m when transposed.
+            let (a, lda) = if trans { (&src_t, rows) } else { (&src, cols) };
+            let mut buf = vec![f64::NAN; 4 * mr * cols];
+            let dst = &mut buf[..rows.div_ceil(mr) * cols * mr];
+            pack_a(dst, a, trans, lda, 0, rows, 0, cols, mr);
+            for (i, &v) in dst.iter().enumerate() {
+                let (pi, p, r) = (i / (cols * mr), i % (cols * mr) / mr, i % mr);
+                let want = if pi * mr + r < rows {
+                    at(pi * mr + r, p)
+                } else {
+                    0.0
+                };
+                assert_eq!(v.to_bits(), want.to_bits(), "pack_a trans={trans} slot {i}");
+            }
+            // B: the same block as k×n; stored n×k when transposed.
+            let (b, ldb) = if trans { (&src_t, rows) } else { (&src, cols) };
+            let mut buf = vec![f64::NAN; 4 * nr * rows];
+            let dst = &mut buf[..b_block_len(rows, cols, nr)];
+            pack_b(dst, b, trans, ldb, 0, cols, 0, rows, nr);
+            for (i, &v) in dst.iter().enumerate() {
+                let (pj, p, j) = (i / (rows * nr), i % (rows * nr) / nr, i % nr);
+                let want = if pj * nr + j < cols {
+                    at(p, pj * nr + j)
+                } else {
+                    0.0
+                };
+                assert_eq!(v.to_bits(), want.to_bits(), "pack_b trans={trans} slot {i}");
+            }
+        }
     }
 
     #[test]
@@ -916,6 +1162,9 @@ mod tests {
             &mut out2,
         );
         assert!(out2.iter().all(|&v| v == 0.0));
+        let mut out3 = vec![f64::NAN; 6];
+        gemm_streamed(&TilingScheme::DEFAULT, 2, 0, 3, &[], 0, 1, &[], &mut out3);
+        assert!(out3.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -951,22 +1200,20 @@ mod tests {
         let b = fill_seq(k * n, &mut rng);
         let mut want = vec![f64::NAN; m * n];
         naive::matmul_into(m, k, n, &a, &b, &mut want);
+        let a_t: Vec<f64> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
         for ts in schemes {
+            let ts = ts.validated();
             let mut got = vec![f64::NAN; m * n];
-            gemm_blocked(
-                &ts.validated(),
-                m,
-                k,
-                n,
-                &a,
-                false,
-                k,
-                &b,
-                false,
-                n,
-                &mut got,
-            );
+            gemm_blocked(&ts, m, k, n, &a, false, k, &b, false, n, &mut got);
             assert_bits_eq(&got, &want, &format!("scheme {ts:?}"));
+            // The streaming kernel cuts its column and row blocks from the
+            // scheme too; read A as stored (matmul) and transposed
+            // (t_matmul).
+            for (a, rs, ps) in [(&a, k, 1), (&a_t, 1, m)] {
+                let mut got = vec![f64::NAN; m * n];
+                gemm_streamed(&ts, m, k, n, a, rs, ps, &b, &mut got);
+                assert_bits_eq(&got, &want, &format!("streamed rs={rs} {ts:?}"));
+            }
         }
     }
 
@@ -1010,8 +1257,9 @@ mod tests {
                     );
                     let w = fill_seq(geo.weight_len(), &mut rng);
                     let bias = fill_seq(geo.out_ch, &mut rng);
-                    let mut got = Tensor::zeros(batch, geo.output_width());
-                    let mut want = Tensor::zeros(batch, geo.output_width());
+                    // NaN-prefilled: the forward must assign every cell.
+                    let mut got = Tensor::full(batch, geo.output_width(), f64::NAN);
+                    let mut want = Tensor::full(batch, geo.output_width(), f64::NAN);
                     blocked.conv1d_forward(&geo, &input, &w, &bias, &mut got);
                     naive::conv1d_forward(&geo, &input, &w, &bias, &mut want);
                     assert_bits_eq(got.as_slice(), want.as_slice(), &format!("fwd {what}"));

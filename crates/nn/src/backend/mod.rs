@@ -108,9 +108,9 @@ pub trait Backend: Sync {
     fn matmul_t_into(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]);
 
     /// Causal dilated conv forward: writes `(batch, out_ch·time)` into `out`
-    /// (already shaped and zeroed by the caller). `w` is the flat
-    /// `(out_ch, in_ch·kernel)` weight matrix, `bias` one value per output
-    /// channel.
+    /// (already shaped by the caller, with arbitrary contents; the kernel
+    /// assigns every cell). `w` is the flat `(out_ch, in_ch·kernel)` weight
+    /// matrix, `bias` one value per output channel.
     fn conv1d_forward(
         &self,
         geo: &Conv1dGeometry,

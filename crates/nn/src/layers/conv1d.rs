@@ -138,11 +138,12 @@ impl Layer for Conv1d {
         );
         let geo = self.geometry();
         let b = self.bias.value.as_slice();
-        let mut out = scratch.take(input.rows(), geo.output_width());
+        let mut out = scratch.take_for_overwrite(input.rows(), geo.output_width());
         // The inner loops live on the compute backend; every backend
-        // parallelises over independent batch rows with a fixed per-row
-        // arithmetic order, keeping results bit-identical for any thread
-        // count and across backends.
+        // assigns each output cell (seeded with its bias) and parallelises
+        // over independent batch rows with a fixed per-row arithmetic
+        // order, keeping results bit-identical for any thread count and
+        // across backends.
         if let Some(delta) = &self.delta {
             let w_eff = self.materialize_w_eff(&delta.down.value, &delta.up.value, scratch);
             crate::backend::dispatch().conv1d_forward(&geo, input, w_eff.as_slice(), b, &mut out);
@@ -187,8 +188,9 @@ impl Layer for Conv1d {
         // a solo forward would use — W_eff built from the artifact's
         // factors exactly as `forward_scratch` builds it, or W for a
         // source-only segment — and the backend's per-row arithmetic order
-        // keeps the rows bit-identical to solo serving.
-        let mut out = scratch.take(input.rows(), geo.output_width());
+        // keeps the rows bit-identical to solo serving. The segments cover
+        // every row, so each row of `out` is written once.
+        let mut out = scratch.take_for_overwrite(input.rows(), geo.output_width());
         let mut row0 = 0usize;
         for seg in ctx.segments {
             let w_eff = seg.delta.map(|art| {
@@ -200,7 +202,7 @@ impl Layer for Conv1d {
             });
             let w = w_eff.as_ref().unwrap_or(&self.weight.value).as_slice();
             let x_seg = copy_rows_in(input, row0, seg.rows, scratch);
-            let mut out_seg = scratch.take(seg.rows, geo.output_width());
+            let mut out_seg = scratch.take_for_overwrite(seg.rows, geo.output_width());
             crate::backend::dispatch().conv1d_forward(&geo, &x_seg, w, b, &mut out_seg);
             copy_rows_out(&out_seg, &mut out, row0);
             for t in [out_seg, x_seg].into_iter().chain(w_eff) {

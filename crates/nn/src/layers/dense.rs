@@ -83,7 +83,7 @@ impl Layer for Dense {
             self.in_dim,
             input.cols()
         );
-        let mut out = scratch.take(input.rows(), self.out_dim);
+        let mut out = scratch.take_for_overwrite(input.rows(), self.out_dim);
         input.matmul_into(&self.weight.value, &mut out);
         out.add_row_broadcast_assign(self.bias.value.as_slice());
         if let Some(delta) = &mut self.delta {
@@ -121,7 +121,7 @@ impl Layer for Dense {
         // Same affine map as `forward_scratch`, minus the input cache: the
         // fused MC path never runs a backward pass, so caching would only
         // add a full copy of the stacked batch per layer.
-        let mut out = scratch.take_spare(input.rows() * self.out_dim);
+        let mut out = scratch.take_for_overwrite(input.rows(), self.out_dim);
         input.matmul_into(&self.weight.value, &mut out);
         out.add_row_broadcast_assign(self.bias.value.as_slice());
         if let Some(delta) = &self.delta {
@@ -152,7 +152,7 @@ impl Layer for Dense {
         // Base affine once over the whole stacked batch. With a delta
         // attached the base weights are frozen, so this is the shared
         // source-model contribution for every segment.
-        let mut out = scratch.take(input.rows(), self.out_dim);
+        let mut out = scratch.take_for_overwrite(input.rows(), self.out_dim);
         input.matmul_into(&self.weight.value, &mut out);
         out.add_row_broadcast_assign(self.bias.value.as_slice());
         let idx = ctx.param_cursor;

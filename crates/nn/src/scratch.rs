@@ -124,8 +124,29 @@ impl Scratch {
     /// The caller fills it (e.g. via `extend`); unlike [`Scratch::take_vec`]
     /// nothing is prefilled.
     pub fn take_vec_spare(&mut self, n: usize) -> Vec<f64> {
+        let mut v = self.checkout(n);
+        v.clear();
+        v
+    }
+
+    /// Checks out a `rows × cols` tensor with unspecified contents, for an
+    /// output a kernel then assigns in full: a recycled buffer at least as
+    /// long keeps its old values, so unlike [`Scratch::take`] (and
+    /// [`Scratch::take_spare`], whose empty vector a later resize fills)
+    /// no value is written here; only a shortfall past a buffer's old
+    /// length is zero-filled.
+    pub(crate) fn take_for_overwrite(&mut self, rows: usize, cols: usize) -> Tensor {
+        let mut v = self.checkout(rows * cols);
+        v.resize(rows * cols, 0.0);
+        Tensor::from_vec(rows, cols, v)
+    }
+
+    /// A buffer with capacity for at least `n` values, recycled when one
+    /// fits (old length and contents intact) and freshly allocated
+    /// otherwise; counted as one checkout.
+    fn checkout(&mut self, n: usize) -> Vec<f64> {
         CHECKOUTS.fetch_add(1, Ordering::Relaxed);
-        let mut v = match self.pop_fitting(n) {
+        match self.pop_fitting(n) {
             Some(v) => {
                 REUSES.fetch_add(1, Ordering::Relaxed);
                 v
@@ -135,9 +156,7 @@ impl Scratch {
             // land one bucket below where same-size requests scan and
             // non-power-of-two shapes would never be reused.
             None => Vec::with_capacity(n.max(1).next_power_of_two()),
-        };
-        v.clear();
-        v
+        }
     }
 
     /// Returns a tensor's buffer to the free lists.
@@ -208,6 +227,26 @@ mod tests {
         t.set(1, 2, 7.0);
         s.give(t);
         assert_eq!(s.take(3, 4), Tensor::zeros(3, 4));
+    }
+
+    #[test]
+    fn take_for_overwrite_keeps_recycled_contents() {
+        // A fresh buffer has nothing to keep: it comes back zeroed.
+        let mut s = Scratch::new();
+        assert_eq!(s.take_for_overwrite(2, 3), Tensor::zeros(2, 3));
+        // A recycled buffer at least as long is reshaped, not rewritten.
+        let mut t = s.take(2, 3);
+        t.as_mut_slice().fill(7.0);
+        s.give(t);
+        let t = s.take_for_overwrite(3, 2);
+        assert_eq!(t, Tensor::full(3, 2, 7.0));
+        // A shorter one keeps its old prefix; only the shortfall is zeroed.
+        let mut s = Scratch::new();
+        let mut v = Vec::with_capacity(8);
+        v.extend([5.0, 5.0]);
+        s.give_vec(v);
+        let t = s.take_for_overwrite(2, 2);
+        assert_eq!(t.as_slice(), &[5.0, 5.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! of the `Tensor` and `Conv1d` entry points real callers take.
 
 use tasfar_nn::backend::{self, Backend, Conv1dGeometry, CpuBlocked, CpuNaive};
+use tasfar_nn::parallel;
 use tasfar_nn::rng::Rng;
 use tasfar_nn::scratch::Scratch;
 use tasfar_nn::tensor::Tensor;
@@ -202,7 +203,9 @@ fn conv_layers_bits_match_across_backends() {
         let dw0 = edge_tensor(geo.out_ch, geo.in_ch * geo.kernel, &mut rng, p_zero, 0.0);
         let db0 = edge_tensor(1, geo.out_ch, &mut rng, p_zero, 0.0);
         let mut run = |bk: &dyn Backend| {
-            let mut y = Tensor::zeros(batch, geo.output_width());
+            // NaN-prefilled: the forward must assign every cell (the naive
+            // reference does, and it yields NaN only from an inf input).
+            let mut y = Tensor::full(batch, geo.output_width(), f64::NAN);
             bk.conv1d_forward(&geo, &x, w.as_slice(), bias.as_slice(), &mut y);
             let (mut dw, mut db) = (dw0.clone(), db0.clone());
             let mut dx = Tensor::zeros(batch, geo.input_width());
@@ -229,6 +232,103 @@ fn conv_layers_bits_match_across_backends() {
     }
 }
 
+/// Shapes for the blocked backend's arms: `m = 1..=9` at `512×512` (both
+/// sides of `mr`; `1×512×512` sits exactly on the cutoff), a wide one-row
+/// product, a one-column product, the rank-2 adapter product on 256
+/// MC-dropout rows (also on the cutoff), two `kc` blocks with an `nc`
+/// wrap under `mr` rows, and a product of several row chunks sharing one
+/// B pack.
+fn arm_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes: Vec<_> = (1..=9).map(|m| (m, 512, 512)).collect();
+    shapes.extend([
+        (1, 1024, 1024),
+        (2048, 512, 1),
+        (256, 512, 2),
+        (7, 300, 520),
+        (300, 513, 515),
+    ]);
+    shapes
+}
+
+/// A logical `rows×cols` matrix laid out as `transposed` storage reads it.
+fn stored(logical: &Tensor, transposed: bool) -> Vec<f64> {
+    if transposed {
+        logical.transpose().as_slice().to_vec()
+    } else {
+        logical.as_slice().to_vec()
+    }
+}
+
+/// Every arm of the blocked backend against the naive reference, bit for
+/// bit, at 1 and 3 threads: each GEMM variant into a NaN-prefilled output
+/// and the scaled-accumulate GEMM onto a random base. The second input
+/// variant draws `−0.0`, subnormals and `±inf` like the conv loop, with
+/// every fourth row of A all `−0.0` and every third column of B all
+/// `+0.0`: those cells sum only `−0.0` products, which a chain started
+/// anywhere but `+0.0` would leave negative.
+#[test]
+fn gemm_arms_bits_match_across_backends_and_threads() {
+    let mut rng = Rng::new(0xBE08);
+    let mut scratch = Scratch::new();
+    for (m, k, n) in arm_shapes() {
+        for edge in [false, true] {
+            let (a, b) = if edge {
+                let mut a = edge_tensor(m, k, &mut rng, 0.2, 2e-4);
+                let mut b = edge_tensor(k, n, &mut rng, 0.2, 2e-4);
+                for i in (1..m).step_by(4) {
+                    a.as_mut_slice()[i * k..(i + 1) * k].fill(-0.0);
+                }
+                for p in 0..k {
+                    for j in (2..n).step_by(3) {
+                        b.set(p, j, 0.0);
+                    }
+                }
+                (a, b)
+            } else {
+                (rand_tensor(m, k, &mut rng), rand_tensor(k, n, &mut rng))
+            };
+            let base = rand_tensor(m, n, &mut rng);
+            let ops = [
+                (Gemm::Matmul, "matmul", stored(&a, false), stored(&b, false)),
+                (
+                    Gemm::TMatmul,
+                    "t_matmul",
+                    stored(&a, true),
+                    stored(&b, false),
+                ),
+                (
+                    Gemm::MatmulT,
+                    "matmul_t",
+                    stored(&a, false),
+                    stored(&b, true),
+                ),
+            ];
+            let want: Vec<Tensor> = ops
+                .iter()
+                .map(|(op, _, a, b)| gemm(NAIVE, *op, m, k, n, a, b))
+                .collect();
+            let addmm = |bk: &dyn Backend, scratch: &mut Scratch| {
+                let mut out = base.clone();
+                let (a, b) = (a.as_slice(), b.as_slice());
+                bk.addmm_scaled_into(m, k, n, -0.75, a, b, out.as_mut_slice(), scratch);
+                out
+            };
+            let want_addmm = addmm(NAIVE, &mut scratch);
+            for threads in [1, 3] {
+                parallel::set_threads(threads);
+                let what = format!("{m}x{k}x{n} edge={edge} threads={threads}");
+                for ((op, name, a, b), want) in ops.iter().zip(&want) {
+                    let got = gemm(BLOCKED, *op, m, k, n, a, b);
+                    assert_bits_eq_nan(want, &got, &format!("{name} {what}"));
+                }
+                let got = addmm(BLOCKED, &mut scratch);
+                assert_bits_eq_nan(&want_addmm, &got, &format!("addmm_scaled {what}"));
+                parallel::reset_threads();
+            }
+        }
+    }
+}
+
 #[test]
 fn blocked_packing_reaches_steady_state_without_alloc_churn() {
     // The pack buffers are thread-local and retained: after one warmup call
@@ -239,34 +339,29 @@ fn blocked_packing_reaches_steady_state_without_alloc_churn() {
     // blocked call that shrinks the packed extent. (The calls go through
     // the trait, not `Tensor`, so the dispatch counter test below counts
     // its own calls only.)
+    // A thin product (streamed, no packing) and a product of several row
+    // chunks (one B pack shared by all of them, A packed per chunk) run in
+    // between and must repeat too.
     let mut rng = Rng::new(0xBE05);
-    let a = Tensor::rand_normal(256, 256, 0.0, 1.0, &mut rng);
-    let b = Tensor::rand_normal(256, 256, 0.0, 1.0, &mut rng);
-    let small_a = Tensor::rand_normal(64, 80, 0.0, 1.0, &mut rng);
-    let small_b = Tensor::rand_normal(80, 64, 0.0, 1.0, &mut rng);
-    let big = || {
-        gemm(
-            BLOCKED,
-            Gemm::Matmul,
-            256,
-            256,
-            256,
-            a.as_slice(),
-            b.as_slice(),
-        )
+    let mut run = |m: usize, k: usize, n: usize| {
+        let a = Tensor::rand_normal(m, k, 0.0, 1.0, &mut rng);
+        let b = Tensor::rand_normal(k, n, 0.0, 1.0, &mut rng);
+        move || gemm(BLOCKED, Gemm::Matmul, m, k, n, a.as_slice(), b.as_slice())
     };
-    let first = big();
+    let big = run(256, 256, 256);
+    let small = run(64, 80, 64);
+    let thin = run(1, 512, 512);
+    let multi_chunk = run(300, 513, 515);
+    let first = [big(), thin(), multi_chunk()];
     for _ in 0..3 {
-        gemm(
-            BLOCKED,
-            Gemm::Matmul,
-            64,
-            80,
-            64,
-            small_a.as_slice(),
-            small_b.as_slice(),
-        );
-        assert_bits_eq(&big(), &first, "steady-state blocked matmul");
+        small();
+        let again = [big(), thin(), multi_chunk()];
+        for (what, (got, want)) in ["big", "thin", "multi-chunk"]
+            .iter()
+            .zip(again.iter().zip(&first))
+        {
+            assert_bits_eq(got, want, &format!("steady-state blocked matmul ({what})"));
+        }
     }
 }
 

@@ -7,7 +7,9 @@
 //!
 //! Compares a fresh bench JSON (`BENCH_kernels.json`, `BENCH_adapters.json`,
 //! `results/repro_metrics.json`) against a committed baseline using the
-//! per-metric relative thresholds in `tasfar_obs::diff::THRESHOLDS`.
+//! per-metric relative thresholds in `tasfar_obs::diff::THRESHOLDS` (times
+//! are lower-is-better; a negative threshold marks an in-run ratio such
+//! as `speedup_vs_naive`, where higher is better).
 //! Exit codes: 0 when no watched metric regressed, 1 on regression,
 //! 2 on usage/parse errors.
 //!

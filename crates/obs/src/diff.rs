@@ -2,9 +2,13 @@
 //!
 //! Compares a freshly generated `BENCH_kernels.json`, `BENCH_adapters.json`,
 //! or `results/repro_metrics.json` against the committed baseline and flags
-//! per-metric regressions. Every watched metric is lower-is-better; a
-//! candidate value is a regression when it exceeds
-//! `baseline * (1 + threshold)` for that metric's relative threshold.
+//! per-metric regressions. A watched metric with a positive (or zero)
+//! threshold is lower-is-better: a candidate value is a regression when it
+//! exceeds `baseline * (1 + threshold)`. A negative threshold marks an
+//! in-run ratio where higher is better: a candidate below
+//! `baseline * (1 + threshold)` regresses. A ratio of two rows timed in
+//! the same run sees through a host-wide slow spell that stretches every
+//! absolute time at once.
 //!
 //! Rows inside a `results` array are keyed by whichever identity fields they
 //! carry (`kernel`/`size`/`backend`/`threads` for kernel benches,
@@ -16,8 +20,9 @@
 use tasfar_nn::json::Json;
 
 /// Relative headroom allowed per metric before a higher candidate value
-/// counts as a regression. `resident_bytes` gets zero headroom: adapter
-/// memory is deterministic, so any growth is a real change.
+/// counts as a regression, or, when negative, the relative drop a
+/// higher-is-better ratio may take. `resident_bytes` gets zero headroom:
+/// adapter memory is deterministic, so any growth is a real change.
 pub const THRESHOLDS: &[(&str, f64)] = &[
     ("ns_per_iter", 0.10),
     ("ns_per_iter_p50", 0.15),
@@ -31,6 +36,11 @@ pub const THRESHOLDS: &[(&str, f64)] = &[
     // the tail gets more headroom.
     ("p50_ns", 0.15),
     ("p99_ns", 0.25),
+    // Blocked rows of BENCH_kernels.json: the naive row's time over the
+    // blocked row's, both from one run. A slow spell that slows both
+    // backends leaves it in place; a blocked kernel that slowed on its own
+    // moves it.
+    ("speedup_vs_naive", -0.20),
 ];
 
 /// Relative headroom for per-stage latency percentiles in
@@ -52,7 +62,8 @@ pub struct Finding {
     pub candidate: f64,
     /// `(candidate - baseline) / baseline`.
     pub rel_change: f64,
-    /// The relative headroom this metric was allowed.
+    /// The relative headroom this metric was allowed (negative: the drop a
+    /// higher-is-better ratio was allowed).
     pub threshold: f64,
     /// Whether the candidate exceeded the headroom.
     pub regression: bool,
@@ -62,7 +73,7 @@ impl Finding {
     /// One-line human rendering for CLI output.
     pub fn describe(&self) -> String {
         format!(
-            "{} {}: baseline {:.3} -> candidate {:.3} ({:+.1}%, allowed +{:.0}%){}",
+            "{} {}: baseline {:.3} -> candidate {:.3} ({:+.1}%, allowed {:+.0}%){}",
             self.key,
             self.metric,
             self.baseline,
@@ -128,7 +139,11 @@ fn compare_value(
         candidate,
         rel_change,
         threshold,
-        regression: rel_change > threshold,
+        regression: if threshold < 0.0 {
+            rel_change < threshold
+        } else {
+            rel_change > threshold
+        },
     });
 }
 
@@ -362,6 +377,43 @@ mod tests {
         .unwrap();
         assert_eq!(regression_count(&diff(&base, &base)), 0);
         assert_eq!(regression_count(&diff(&base, &bigger)), 1);
+    }
+
+    /// A blocked row and its naive partner, timed in one run.
+    fn head_to_head(naive_ns: f64, blocked_ns: f64) -> Json {
+        Json::parse(&format!(
+            r#"{{"results":[
+                {{"kernel":"matmul","size":"1x512x512","backend":"naive","threads":1,
+                 "ns_per_iter":{naive_ns}}},
+                {{"kernel":"matmul","size":"1x512x512","backend":"blocked","threads":1,
+                 "ns_per_iter":{blocked_ns},"speedup_vs_naive":{}}}
+              ]}}"#,
+            naive_ns / blocked_ns
+        ))
+        .unwrap()
+    }
+
+    fn ratio_regressions(findings: &[Finding]) -> usize {
+        findings
+            .iter()
+            .filter(|f| f.regression && f.metric == "speedup_vs_naive")
+            .count()
+    }
+
+    #[test]
+    fn slow_spell_moves_times_but_not_the_in_run_ratio() {
+        let base = head_to_head(150_000.0, 60_000.0);
+        // Both backends 40% slower: every time regresses, the ratio holds.
+        let spell = diff(&base, &head_to_head(210_000.0, 84_000.0));
+        assert_eq!(regression_count(&spell), 2, "{spell:?}");
+        assert_eq!(ratio_regressions(&spell), 0, "{spell:?}");
+        // Blocked alone 40% slower: its time and the ratio regress.
+        let blocked = diff(&base, &head_to_head(150_000.0, 84_000.0));
+        assert_eq!(ratio_regressions(&blocked), 1, "{blocked:?}");
+        assert_eq!(regression_count(&blocked), 2, "{blocked:?}");
+        // A higher ratio is an improvement, never a finding.
+        let faster = diff(&base, &head_to_head(150_000.0, 40_000.0));
+        assert_eq!(regression_count(&faster), 0, "{faster:?}");
     }
 
     #[test]

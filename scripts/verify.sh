@@ -44,8 +44,11 @@ cargo test -q --release -p tasfar-nn --test backend_equiv
 
 # Bench smoke: the binary self-checks on every release run — it aborts
 # unless the fused MC-dropout path beats the per-pass path, the blocked
-# backend beats naive on the largest matmul, and the hot-path allocation
-# count is zero — so this smoke run doubles as the perf gate. It must run
+# backend beats naive on the largest matmul (1.1x), on a one-row
+# `matmul 1x512x512` predict (1.3x: the thin arm streams the weights
+# instead of packing them) and on the TCN's 16->16 conv (1.5x), and the
+# hot-path allocation count is zero — so this smoke run doubles as the
+# perf gate. It must run
 # from the repo root (`.cargo/config.toml` carries `target-cpu=native` and
 # is discovered from the working directory); TASFAR_BENCH_OUT keeps the
 # scratch result file away from the committed BENCH_kernels.json.
