@@ -8,7 +8,8 @@
 //!   register tile would reuse a packed panel; each operand is read once
 //!   in storage order instead. [`gemm_streamed`] serves `matmul` with
 //!   `m < mr` and every thin `t_matmul`: it reads each row of B once for
-//!   all output rows, and `t_matmul`'s transposed A row by row too. The
+//!   all output rows of a block, and `t_matmul`'s transposed A row by row
+//!   too; a tall one spreads its row blocks over the threads. The
 //!   other thin products — `matmul` with `n < nr` and every thin
 //!   `matmul_t` — run the naive kernels, whose dot products already read
 //!   A's and B's rows contiguously.
@@ -390,13 +391,15 @@ fn micro_edge(
 
 /// The streaming kernel for thin products: `C (m×n) = A · B` with the
 /// logical `m×k` A read at `a[i·rs + p·ps]` and B (`k×n`, row-major) read
-/// once, row by row, for every output row. The output is cut into blocks
-/// of at most `nc` columns and `mr·nc` values (so a block stays in L1);
-/// each block is zeroed and then, for ascending `p`, gets `a(i,p)·B[p,:]`
-/// added into each of its rows — four `p` per pass, each element held in
-/// a register across its four adds, which are still made one multiply and
-/// one add at a time in ascending `p`. Every element is therefore the naive
-/// kernel's chain from `0.0`.
+/// once, row by row, for every output row of a block. The output is cut
+/// into blocks of at most `nc` columns and `mr·nc` values (so a block
+/// stays in L1); each block is zeroed and then, for ascending `p`, gets
+/// `a(i,p)·B[p,:]` added into each of its rows — four `p` per pass, each
+/// element held in a register across its four adds, which are still made
+/// one multiply and one add at a time in ascending `p`. Every element is
+/// therefore the naive kernel's chain from `0.0`. A tall product (`n < nr`)
+/// spreads its row blocks over the threads, cut like the packed driver's
+/// row chunks; a short one (`m < mr`) is a single chunk.
 #[allow(clippy::too_many_arguments)]
 fn gemm_streamed(
     ts: &TilingScheme,
@@ -413,20 +416,23 @@ fn gemm_streamed(
     debug_assert_eq!(out.len(), m * n);
     let w_max = ts.nc.min(n);
     let block_rows = (ts.mr * ts.nc / w_max).max(1);
-    for i0 in (0..m).step_by(block_rows) {
-        let rows = i0..m.min(i0 + block_rows);
+    let rows_per_chunk = m
+        .div_ceil(ROW_CHUNKS)
+        .next_multiple_of(ts.mr)
+        .min(block_rows);
+    crate::parallel::for_each_row_chunk(out, n, rows_per_chunk, |rows, chunk| {
         for jc in (0..n).step_by(w_max) {
             let w = w_max.min(n - jc);
-            for i in rows.clone() {
-                out[i * n + jc..][..w].fill(0.0);
+            for row in chunk.chunks_exact_mut(n) {
+                row[jc..][..w].fill(0.0);
             }
             let mut p = 0;
             while p + 4 <= k {
                 let b_rows = [0, 1, 2, 3].map(|q| &b[(p + q) * n + jc..][..w]);
-                for i in rows.clone() {
+                for (i, row) in rows.clone().zip(chunk.chunks_exact_mut(n)) {
                     let [a0, a1, a2, a3] = [0, 1, 2, 3].map(|q| a[i * rs + (p + q) * ps]);
-                    let row = out[i * n + jc..][..w].iter_mut();
-                    for ((((o, &b0), &b1), &b2), &b3) in row
+                    for ((((o, &b0), &b1), &b2), &b3) in row[jc..][..w]
+                        .iter_mut()
                         .zip(b_rows[0])
                         .zip(b_rows[1])
                         .zip(b_rows[2])
@@ -444,15 +450,15 @@ fn gemm_streamed(
             }
             for p in p..k {
                 let b_row = &b[p * n + jc..][..w];
-                for i in rows.clone() {
+                for (i, row) in rows.clone().zip(chunk.chunks_exact_mut(n)) {
                     let ap = a[i * rs + p * ps];
-                    for (o, &bv) in out[i * n + jc..][..w].iter_mut().zip(b_row) {
+                    for (o, &bv) in row[jc..][..w].iter_mut().zip(b_row) {
                         *o += ap * bv;
                     }
                 }
             }
         }
-    }
+    });
 }
 
 /// Runs the microkernels over one packed `m_eff × nc_eff` block: `a_pack`

@@ -18,10 +18,9 @@ fn cache_into(slot: &mut Option<Tensor>, src: &Tensor) {
 
 /// The shared `forward_mc` body: the exact elementwise map of the layer's
 /// `forward_scratch`, minus the derivative cache (the fused MC path never
-/// runs a backward) and minus `take`'s zero prefill (`map_into` clears and
-/// refills in a single pass).
+/// runs a backward).
 fn map_uncached(input: &Tensor, f: impl Fn(f64) -> f64, scratch: &mut Scratch) -> Tensor {
-    let mut out = scratch.take_spare(input.len());
+    let mut out = scratch.take_for_overwrite(input.rows(), input.cols());
     input.map_into(f, &mut out);
     out
 }
@@ -42,7 +41,7 @@ impl Relu {
 impl Layer for Relu {
     fn forward_scratch(&mut self, input: &Tensor, _mode: Mode, scratch: &mut Scratch) -> Tensor {
         cache_into(&mut self.cached_input, input);
-        let mut out = scratch.take(input.rows(), input.cols());
+        let mut out = scratch.take_for_overwrite(input.rows(), input.cols());
         input.map_into(|x| x.max(0.0), &mut out);
         out
     }
@@ -61,7 +60,7 @@ impl Layer for Relu {
             .cached_input
             .as_ref()
             .expect("Relu::backward before forward");
-        let mut out = scratch.take(grad_output.rows(), grad_output.cols());
+        let mut out = scratch.take_for_overwrite(grad_output.rows(), grad_output.cols());
         grad_output.zip_map_into(input, |g, x| if x > 0.0 { g } else { 0.0 }, &mut out);
         out
     }
@@ -105,7 +104,7 @@ impl Layer for LeakyRelu {
     fn forward_scratch(&mut self, input: &Tensor, _mode: Mode, scratch: &mut Scratch) -> Tensor {
         cache_into(&mut self.cached_input, input);
         let a = self.alpha;
-        let mut out = scratch.take(input.rows(), input.cols());
+        let mut out = scratch.take_for_overwrite(input.rows(), input.cols());
         input.map_into(|x| if x > 0.0 { x } else { a * x }, &mut out);
         out
     }
@@ -126,7 +125,7 @@ impl Layer for LeakyRelu {
             .as_ref()
             .expect("LeakyRelu::backward before forward");
         let a = self.alpha;
-        let mut out = scratch.take(grad_output.rows(), grad_output.cols());
+        let mut out = scratch.take_for_overwrite(grad_output.rows(), grad_output.cols());
         grad_output.zip_map_into(input, |g, x| if x > 0.0 { g } else { a * g }, &mut out);
         out
     }
@@ -159,7 +158,7 @@ impl Tanh {
 
 impl Layer for Tanh {
     fn forward_scratch(&mut self, input: &Tensor, _mode: Mode, scratch: &mut Scratch) -> Tensor {
-        let mut out = scratch.take(input.rows(), input.cols());
+        let mut out = scratch.take_for_overwrite(input.rows(), input.cols());
         input.map_into(f64::tanh, &mut out);
         cache_into(&mut self.cached_output, &out);
         out
@@ -179,7 +178,7 @@ impl Layer for Tanh {
             .cached_output
             .as_ref()
             .expect("Tanh::backward before forward");
-        let mut dx = scratch.take(grad_output.rows(), grad_output.cols());
+        let mut dx = scratch.take_for_overwrite(grad_output.rows(), grad_output.cols());
         grad_output.zip_map_into(out, |g, y| g * (1.0 - y * y), &mut dx);
         dx
     }
@@ -212,7 +211,7 @@ impl Sigmoid {
 
 impl Layer for Sigmoid {
     fn forward_scratch(&mut self, input: &Tensor, _mode: Mode, scratch: &mut Scratch) -> Tensor {
-        let mut out = scratch.take(input.rows(), input.cols());
+        let mut out = scratch.take_for_overwrite(input.rows(), input.cols());
         input.map_into(|x| 1.0 / (1.0 + (-x).exp()), &mut out);
         cache_into(&mut self.cached_output, &out);
         out
@@ -232,7 +231,7 @@ impl Layer for Sigmoid {
             .cached_output
             .as_ref()
             .expect("Sigmoid::backward before forward");
-        let mut dx = scratch.take(grad_output.rows(), grad_output.cols());
+        let mut dx = scratch.take_for_overwrite(grad_output.rows(), grad_output.cols());
         grad_output.zip_map_into(out, |g, y| g * y * (1.0 - y), &mut dx);
         dx
     }

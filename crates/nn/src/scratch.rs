@@ -112,14 +112,6 @@ impl Scratch {
         v
     }
 
-    /// Checks out an *empty* `0 × 0` tensor whose backing capacity is at
-    /// least `n` values, for consumers that fully overwrite their output
-    /// through an `*_into` method (those clear and refill in one pass, so
-    /// [`Scratch::take`]'s zero prefill would be a wasted memory sweep).
-    pub fn take_spare(&mut self, n: usize) -> Tensor {
-        Tensor::from_vec(0, 0, self.take_vec_spare(n))
-    }
-
     /// Checks out an empty vector with capacity for at least `n` values.
     /// The caller fills it (e.g. via `extend`); unlike [`Scratch::take_vec`]
     /// nothing is prefilled.
@@ -131,10 +123,10 @@ impl Scratch {
 
     /// Checks out a `rows × cols` tensor with unspecified contents, for an
     /// output a kernel then assigns in full: a recycled buffer at least as
-    /// long keeps its old values, so unlike [`Scratch::take`] (and
-    /// [`Scratch::take_spare`], whose empty vector a later resize fills)
-    /// no value is written here; only a shortfall past a buffer's old
-    /// length is zero-filled.
+    /// long keeps its old values, so unlike [`Scratch::take`] no value is
+    /// written here; only a shortfall past a buffer's old length is
+    /// zero-filled. Also serves the `*_into` maps, which clear and refill
+    /// their output in one pass.
     pub(crate) fn take_for_overwrite(&mut self, rows: usize, cols: usize) -> Tensor {
         let mut v = self.checkout(rows * cols);
         v.resize(rows * cols, 0.0);
