@@ -25,9 +25,14 @@
 //! dominate every throughput figure while exercising none of the batching
 //! under test.
 //!
-//! Self-asserts (release builds): fused batching is at least 2× unbatched
-//! predict throughput at the largest tenant count, and a resident tenant
-//! delta stays within 5% of the full model's parameter bytes.
+//! Before the grid it times one cold decode (`DeltaArtifact::from_json`,
+//! what every rehydrate pays) of a prototype delta as written, with
+//! base64 payloads, and as the decimal document earlier builds wrote.
+//!
+//! Self-asserts (release builds): the payload decode is at least 3× faster
+//! than the decimal one, fused batching is at least 2× unbatched predict
+//! throughput at the largest tenant count, and a resident tenant delta
+//! stays within 5% of the full model's parameter bytes.
 //!
 //! Run with: `cargo run --release -p tasfar-bench --bin serve`
 //! (from the repo root, so `.cargo/config.toml` applies). Results go to
@@ -42,7 +47,7 @@ use tasfar_core::session::TenantSession;
 use tasfar_data::Dataset;
 use tasfar_nn::adapter::{enable_adapters, AdapterConfig};
 use tasfar_nn::init::Init;
-use tasfar_nn::json::Json;
+use tasfar_nn::json::{Json, ToJson};
 use tasfar_nn::layers::{Dense, Dropout, Relu, Sequential};
 use tasfar_nn::rng::Rng;
 use tasfar_nn::spec::DeltaArtifact;
@@ -102,6 +107,39 @@ fn prototype_artifacts(source: &Sequential, count: usize) -> Vec<Arc<str>> {
             Arc::from(artifact.to_json().as_str())
         })
         .collect()
+}
+
+/// `artifact` in the format earlier builds wrote: decimal `values`, no
+/// `check`.
+fn legacy_json(artifact: &DeltaArtifact) -> String {
+    let shapes = artifact
+        .shapes
+        .iter()
+        .map(|&(r, c)| Json::Arr(vec![Json::from(r), Json::from(c)]))
+        .collect();
+    Json::obj(vec![
+        ("rank", Json::from(artifact.rank)),
+        ("alpha", Json::Num(artifact.alpha)),
+        ("shapes", Json::Arr(shapes)),
+        ("values", artifact.values.to_json_value()),
+    ])
+    .to_string()
+}
+
+/// Median wall time of one `DeltaArtifact::from_json` of `text` over
+/// `runs` runs, in microseconds.
+fn decode_us(text: &str, runs: usize) -> f64 {
+    let mut us: Vec<f64> = (0..runs)
+        .map(|_| {
+            let t0 = Instant::now();
+            let artifact = DeltaArtifact::from_json(std::hint::black_box(text));
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            std::hint::black_box(artifact.expect("the prototype decodes"));
+            us
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[runs / 2]
 }
 
 struct RunStats {
@@ -250,6 +288,26 @@ fn main() {
     println!(
         "model {full_model_bytes} B, per-tenant delta {delta_bytes} B ({:.1}% of model)",
         100.0 * delta_frac
+    );
+
+    // --- cold decode --------------------------------------------------------
+    // Every rehydrate decodes the tenant's cold text. It runs here, before
+    // the grid, so its assert is reached even when the batching one fails.
+    let decode_runs = if quick { 201 } else { 2001 };
+    let legacy = legacy_json(&DeltaArtifact::from_json(&prototypes[0]).expect("prototype"));
+    let payload_us = decode_us(&prototypes[0], decode_runs);
+    let legacy_us = decode_us(&legacy, decode_runs);
+    let decode_speedup = legacy_us / payload_us;
+    println!(
+        "cold decode of one delta: payload {payload_us:.1} us ({} B of JSON), \
+         decimals {legacy_us:.1} us ({} B): {decode_speedup:.1}x",
+        prototypes[0].len(),
+        legacy.len()
+    );
+    assert!(
+        cfg!(debug_assertions) || decode_speedup >= 3.0,
+        "a payload decode must be >= 3x faster than the decimal decode, \
+         measured {decode_speedup:.2}x"
     );
 
     // --- predict throughput grid -----------------------------------------

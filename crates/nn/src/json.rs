@@ -23,9 +23,13 @@
 //! The parser copies each string as runs of plain bytes between escapes, so
 //! a document parses in time linear in its length. Besides building a tree,
 //! it can walk a document in place (an object's members, an array's
-//! elements, one number at a time); `DeltaArtifact::from_json`, the decoder
-//! on the serving cold path, uses those walks to decode in one pass with no
-//! tree.
+//! elements, one number at a time, and a string with no escape borrowed
+//! from the input instead of copied); `DeltaArtifact::from_json`, the
+//! decoder on the serving cold path, uses those walks to decode in one pass
+//! with no tree. A delta's `values` travel inside the JSON as base64 strings
+//! of their raw f64 bits under an FNV-1a `check` (see `DeltaArtifact`), so
+//! a rehydrate converts no decimals; the decimal arrays earlier builds wrote
+//! still decode.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -402,7 +406,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The next unconsumed byte.
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
@@ -585,6 +590,26 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads a string that holds no escape sequence, borrowed from the
+    /// input instead of copied: the text between the quotes. A `\\` in it
+    /// is an error, so the borrow is always the string's exact value.
+    pub(crate) fn plain_str(&mut self) -> Result<&'a str, JsonError> {
+        self.expect(b'"')?;
+        let rest = &self.text[self.pos..];
+        let len = rest
+            .find('"')
+            .ok_or_else(|| JsonError::new("unterminated string"))?;
+        let s = &rest[..len];
+        if let Some(at) = s.find('\\') {
+            return Err(JsonError::new(format!(
+                "escape in a plain string at byte {}",
+                self.pos + at
+            )));
+        }
+        self.pos += len + 1;
+        Ok(s)
+    }
+
     /// Parses the 4 hex digits after `\u` (plus a surrogate pair if needed);
     /// on entry `pos` points at the `u`.
     fn unicode_escape(&mut self) -> Result<char, JsonError> {
@@ -625,7 +650,7 @@ impl<'a> Parser<'a> {
     /// error: the writer never emits one, and a non-finite value decoded
     /// into a model or a delta would only fail later, further from its
     /// source.
-    fn scan_number(&mut self) -> Result<(&'a str, f64), JsonError> {
+    pub(crate) fn scan_number(&mut self) -> Result<(&'a str, f64), JsonError> {
         let start = self.pos;
         match self.peek() {
             Some(b'-') => self.pos += 1,

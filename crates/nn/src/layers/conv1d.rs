@@ -11,8 +11,8 @@
 //! the input's time length, so TCN blocks can be residually stacked.
 
 use super::{
-    copy_rows_in, copy_rows_out, frozen_segmented_forward, load_factor_pair, Layer, Mode, Param,
-    SegmentedContext,
+    copy_rows_in, copy_rows_out, frozen_segmented_forward, load_factor_pair, Layer, McContext,
+    Mode, Param, SegmentedContext,
 };
 use crate::adapter::{AdapterConfig, DeltaParams};
 use crate::backend::Conv1dGeometry;
@@ -123,10 +123,9 @@ impl Conv1d {
             time_len: self.time_len,
         }
     }
-}
 
-impl Layer for Conv1d {
-    fn forward_scratch(&mut self, input: &Tensor, _mode: Mode, scratch: &mut Scratch) -> Tensor {
+    /// The forward pass without the input cache that backward reads.
+    fn forward_uncached(&self, input: &Tensor, scratch: &mut Scratch) -> Tensor {
         assert_eq!(
             input.cols(),
             self.input_width(),
@@ -152,11 +151,30 @@ impl Layer for Conv1d {
             let w = self.weight.value.as_slice();
             crate::backend::dispatch().conv1d_forward(&geo, input, w, b, &mut out);
         }
+        out
+    }
+}
+
+impl Layer for Conv1d {
+    fn forward_scratch(&mut self, input: &Tensor, _mode: Mode, scratch: &mut Scratch) -> Tensor {
+        let out = self.forward_uncached(input, scratch);
         match &mut self.cached_input {
             Some(c) => c.copy_from(input),
             None => self.cached_input = Some(input.clone()),
         }
         out
+    }
+
+    fn forward_mc(
+        &mut self,
+        input: &Tensor,
+        _ctx: &mut McContext,
+        scratch: &mut Scratch,
+    ) -> Tensor {
+        // The fused MC path never runs a backward pass, so caching would
+        // only keep a copy of the stacked batch (and overwrite the cache a
+        // `Train` forward left for its backward).
+        self.forward_uncached(input, scratch)
     }
 
     fn forward_segmented(
@@ -433,6 +451,41 @@ mod tests {
         for &g in conv.bias.grad.as_slice() {
             assert!((g - 40.0).abs() < 1e-9);
         }
+    }
+
+    /// The fused MC forward computes what a plain forward does but leaves
+    /// the input cache alone, so a backward after it still differentiates
+    /// the last `Train` forward's batch.
+    #[test]
+    fn forward_mc_keeps_the_train_cache() {
+        let mut rng = Rng::new(10);
+        let mut conv = Conv1d::new(2, 3, 3, 2, 5, &mut rng);
+        let x = Tensor::rand_normal(2, 10, 0.0, 1.0, &mut rng);
+        let stacked = Tensor::rand_normal(8, 10, 0.0, 1.0, &mut rng);
+        let g = Tensor::rand_normal(2, 15, 0.0, 1.0, &mut rng);
+
+        let mut reference = conv.clone();
+        let plain = reference.forward(&stacked, Mode::StochasticEval);
+        reference.forward(&x, Mode::Train);
+        let want = reference.backward(&g);
+
+        conv.forward(&x, Mode::Train);
+        let mut ctx = McContext {
+            samples: 4,
+            batch: 2,
+            streams: &mut [],
+            n_dropout: 0,
+            next_dropout: 0,
+        };
+        let mc = crate::scratch::with(|s| conv.forward_mc(&stacked, &mut ctx, s));
+        assert_eq!(mc.as_slice(), plain.as_slice());
+        let got = conv.backward(&g);
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(
+            conv.weight.grad.as_slice(),
+            reference.weight.grad.as_slice()
+        );
+        assert_eq!(conv.bias.grad.as_slice(), reference.bias.grad.as_slice());
     }
 
     #[test]

@@ -632,33 +632,96 @@ impl DeltaArtifact {
         self.values.iter().map(|v| v.len()).sum::<usize>() * std::mem::size_of::<f64>()
     }
 
-    /// Serializes to a JSON string.
+    /// Serializes to a JSON string: `rank`, `alpha` and `shapes` as JSON
+    /// numbers, each `values` tensor as one padded base64 string of its
+    /// values' little-endian f64 bits, then `check`, the artifact's
+    /// checksum as 16 lowercase hex digits (see [`DeltaArtifact::from_json`]).
+    ///
+    /// # Panics
+    /// Panics on a non-finite alpha or value, as the JSON writer does.
     pub fn to_json(&self) -> String {
-        ToJson::to_json(self)
+        use std::fmt::Write;
+        // Each started block of three values takes 32 characters; the rest
+        // is a few dozen bytes per shape and for the keys and `check`.
+        let chars: usize = self.values.iter().map(|v| v.len().div_ceil(3) * 32).sum();
+        let mut out = String::with_capacity(chars + 32 * self.shapes.len() + 96);
+        // `fmt::Write` into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"rank\":{},\"alpha\":{},\"shapes\":[",
+            self.rank,
+            Json::Num(self.alpha)
+        );
+        for (i, (rows, cols)) in self.shapes.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}[{rows},{cols}]");
+        }
+        out.push_str("],\"values\":[");
+        for (i, tensor) in self.values.iter().enumerate() {
+            out.push_str(if i > 0 { ",\"" } else { "\"" });
+            encode_payload(tensor, &mut out);
+            out.push('"');
+        }
+        let _ = write!(out, "],\"check\":\"{:016x}\"}}", self.checksum());
+        out
     }
 
-    /// Deserializes from a JSON string in one pass: `values` streams
-    /// straight into its vectors, with no intermediate value tree (a cold
-    /// serving lookup pays this on every rehydrate).
+    /// Deserializes from a JSON string in one pass, with no intermediate
+    /// value tree (a cold serving lookup pays this on every rehydrate).
     ///
-    /// Accepts exactly what [`Json::parse`] plus field lookups accept: any
-    /// key order and whitespace, unknown keys (skipped), a repeated key
-    /// (the first occurrence wins, as [`Json::get`] does) and integer
-    /// literals (decoded to their [`Json::as_f64`] value). A number literal
-    /// that overflows to ±inf is an error, as it is for [`Json::parse`].
+    /// Each `values` entry is either a payload string, decoded straight
+    /// into its vector, or an array of decimals, the format earlier builds
+    /// wrote, which still decodes bit for bit. `check` may be left out only
+    /// when every entry is a decimal array (and there is at least one);
+    /// otherwise it is required: 16 lowercase hex digits of a 64-bit FNV-1a
+    /// folded over 64-bit words (rank, alpha's bits, each shape's rows and
+    /// cols, then every value's bits, in order). A `check` that is present
+    /// must be well formed and match, and `alpha` must then be spelled as
+    /// `to_json` spells it (`16.0`, not `16e0`), so no edit of the text
+    /// decodes to the same artifact unnoticed. A payload string is rejected
+    /// when it holds a byte outside the base64 alphabet or an escape, when
+    /// its padding is wrong or not canonical, when it decodes to a length
+    /// that is not a whole number of f64s, or when it holds a NaN or ±inf.
+    ///
+    /// Otherwise this accepts exactly what [`Json::parse`] plus field
+    /// lookups accept: any key order and whitespace, unknown keys
+    /// (skipped), a repeated key (the first occurrence wins, as
+    /// [`Json::get`] does) and integer literals (decoded to their
+    /// [`Json::as_f64`] value). A number literal that overflows to ±inf is
+    /// an error, as it is for [`Json::parse`].
     pub fn from_json(json: &str) -> Result<Self, JsonError> {
         let mut p = Parser::new(json);
         let mut rank = None;
-        let mut alpha = None;
+        let mut alpha: Option<(&str, f64)> = None;
         let mut shapes: Option<Vec<(usize, usize)>> = None;
         let mut values = None;
+        let mut check = None;
+        // The checksum folds each value as it decodes when the header came
+        // first, as `to_json` writes it; otherwise it is recomputed below.
+        let mut folded = None;
         p.members(|p, key| {
             match key.as_str() {
                 "rank" if rank.is_none() => rank = Some(p.value()?.as_usize()?),
-                "alpha" if alpha.is_none() => alpha = Some(p.value()?.as_f64()?),
+                "alpha" if alpha.is_none() => alpha = Some(p.scan_number()?),
                 "shapes" if shapes.is_none() => shapes = Some(decode_shapes(&p.value()?)?),
                 "values" if values.is_none() => {
-                    values = Some(stream_values(p, shapes.as_deref()).map_err(|e| e.at("values"))?)
+                    let header = rank
+                        .zip(alpha)
+                        .zip(shapes.as_deref())
+                        .map(|((r, (_, a)), s)| header_hash(r, a, s));
+                    let mut hash = header.unwrap_or(FNV_OFFSET);
+                    values = Some(
+                        stream_values(p, shapes.as_deref(), &mut hash)
+                            .map_err(|e| e.at("values"))?,
+                    );
+                    folded = header.map(|_| hash);
+                }
+                "check" if check.is_none() => {
+                    check = Some(
+                        p.plain_str()
+                            .and_then(decode_check)
+                            .map_err(|e| e.at("check"))?,
+                    )
                 }
                 _ => {
                     p.value()?;
@@ -668,12 +731,62 @@ impl DeltaArtifact {
         })?;
         p.finish()?;
         let missing = |key: &str| JsonError::new(format!("missing field `{key}`"));
-        Ok(DeltaArtifact {
+        let (values, payloads) = values.ok_or_else(|| missing("values"))?;
+        let (alpha_text, alpha) = alpha.ok_or_else(|| missing("alpha"))?;
+        let artifact = DeltaArtifact {
             rank: rank.ok_or_else(|| missing("rank"))?,
-            alpha: alpha.ok_or_else(|| missing("alpha"))?,
+            alpha,
             shapes: shapes.ok_or_else(|| missing("shapes"))?,
-            values: values.ok_or_else(|| missing("values"))?,
-        })
+            values,
+        };
+        match check {
+            Some(want) if folded.unwrap_or_else(|| artifact.checksum()) != want => Err(
+                JsonError::new(format!("`check` {want:016x} does not match the artifact")),
+            ),
+            Some(_) if alpha_text != Json::Num(alpha).to_string() => Err(JsonError::new(format!(
+                "`alpha` {alpha_text} is not spelled as `to_json` spells it"
+            ))),
+            None if payloads || artifact.values.is_empty() => Err(missing("check")),
+            _ => Ok(artifact),
+        }
+    }
+
+    /// The `check` hash of [`DeltaArtifact::from_json`].
+    fn checksum(&self) -> u64 {
+        let header = header_hash(self.rank, self.alpha, &self.shapes);
+        self.values
+            .iter()
+            .flatten()
+            .fold(header, |h, v| fnv(h, v.to_bits()))
+    }
+}
+
+/// FNV-1a's 64-bit offset basis and prime, folded here over whole 64-bit
+/// words instead of bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// The checksum folded over the header words, ready for the values.
+fn header_hash(rank: usize, alpha: f64, shapes: &[(usize, usize)]) -> u64 {
+    let hash = fnv(fnv(FNV_OFFSET, rank as u64), alpha.to_bits());
+    shapes.iter().fold(hash, |h, &(rows, cols)| {
+        fnv(fnv(h, rows as u64), cols as u64)
+    })
+}
+
+/// Exactly 16 lowercase hex digits, as `to_json` writes them, so no other
+/// spelling of the same hash decodes.
+fn decode_check(text: &str) -> Result<u64, JsonError> {
+    let hex = text.len() == 16 && text.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    match u64::from_str_radix(text, 16) {
+        Ok(hash) if hex => Ok(hash),
+        _ => Err(JsonError::new(format!(
+            "expected 16 lowercase hex digits, got {text:?}"
+        ))),
     }
 }
 
@@ -690,49 +803,193 @@ fn decode_shapes(v: &Json) -> Result<Vec<(usize, usize)>, JsonError> {
         .collect()
 }
 
-/// Streams `[[f64, ...], ...]` into one vector per tensor. When `shapes`
-/// is already known each vector is sized from its shape, but never beyond
-/// what the rest of the input could hold (a number and its separator take
-/// at least two bytes), so a corrupted shape cannot force a huge
-/// allocation. A count that disagrees with its shape is left for
-/// [`DeltaArtifact::check`] to report.
+/// Streams `values` into one vector per tensor, folding every value's bits
+/// into `hash`; also returns whether any entry was a payload string. A
+/// legacy decimal array is sized from its shape when `shapes` is already
+/// known, but never beyond what the rest of the input could hold (a number
+/// and its separator take at least two bytes), so a corrupted shape cannot
+/// force a huge allocation. A count that disagrees with its shape is left
+/// for [`DeltaArtifact::check`] to report.
 fn stream_values(
     p: &mut Parser<'_>,
     shapes: Option<&[(usize, usize)]>,
-) -> Result<Vec<Vec<f64>>, JsonError> {
+    hash: &mut u64,
+) -> Result<(Vec<Vec<f64>>, bool), JsonError> {
     let mut values: Vec<Vec<f64>> = Vec::with_capacity(shapes.map_or(0, <[_]>::len));
+    let mut payloads = false;
     p.elements(|p| {
-        let len = shapes
-            .and_then(|s| s.get(values.len()))
-            .map_or(0, |&(rows, cols)| rows.saturating_mul(cols));
-        let mut tensor = Vec::with_capacity(len.min(p.remaining() / 2));
-        p.elements(|p| {
-            tensor.push(p.f64()?);
-            Ok(())
-        })?;
+        let tensor = if p.peek() == Some(b'"') {
+            payloads = true;
+            p.plain_str().and_then(|text| decode_payload(text, hash))
+        } else {
+            let len = shapes
+                .and_then(|s| s.get(values.len()))
+                .map_or(0, |&(rows, cols)| rows.saturating_mul(cols));
+            let mut tensor = Vec::with_capacity(len.min(p.remaining() / 2));
+            p.elements(|p| {
+                let v = p.f64()?;
+                *hash = fnv(*hash, v.to_bits());
+                tensor.push(v);
+                Ok(())
+            })
+            .map(|()| tensor)
+        };
+        let tensor = tensor.map_err(|e| e.at(&format!("[{}]", values.len())))?;
         values.push(tensor);
         Ok(())
     })?;
-    Ok(values)
+    Ok((values, payloads))
 }
 
-impl ToJson for DeltaArtifact {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("rank", Json::from(self.rank)),
-            ("alpha", Json::Num(self.alpha)),
-            (
-                "shapes",
-                Json::Arr(
-                    self.shapes
-                        .iter()
-                        .map(|&(r, c)| Json::Arr(vec![Json::from(r), Json::from(c)]))
-                        .collect(),
-                ),
-            ),
-            ("values", self.values.to_json_value()),
-        ])
+/// The RFC 4648 base64 alphabet.
+const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Decode tables, one per position in a quad: each byte's 6-bit value
+/// shifted to its place in the quad's 24-bit group, so a quad decodes with
+/// four lookups and three ORs. A byte outside the alphabet (`=` included)
+/// maps to `OUTSIDE`, which no OR of valid entries sets.
+const OUTSIDE: u32 = 1 << 31;
+static DECODE: [[u32; 256]; 4] = [
+    decode_table(18),
+    decode_table(12),
+    decode_table(6),
+    decode_table(0),
+];
+
+const fn decode_table(shift: u32) -> [u32; 256] {
+    let mut table = [OUTSIDE; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[B64[i] as usize] = (i as u32) << shift;
+        i += 1;
     }
+    table
+}
+
+/// The exponent field of an f64 that is NaN or ±inf.
+const NON_FINITE: u64 = 0x7FF0_0000_0000_0000;
+
+/// Three values' little-endian bits as 32 base64 characters: eight 24-bit
+/// groups cut from the 192-bit big-endian stream of their bytes.
+fn encode_block(bits: [u64; 3]) -> [u8; 32] {
+    let [a, b, c] = bits.map(u64::swap_bytes);
+    let groups = [
+        a >> 40,
+        a >> 16,
+        a << 8 | b >> 56,
+        b >> 32,
+        b >> 8,
+        b << 16 | c >> 48,
+        c >> 24,
+        c,
+    ];
+    let mut chars = [0u8; 32];
+    for (group, quad) in groups.iter().zip(chars.chunks_exact_mut(4)) {
+        for (k, ch) in quad.iter_mut().enumerate() {
+            *ch = B64[(group >> (18 - 6 * k)) as usize & 63];
+        }
+    }
+    chars
+}
+
+/// The inverse of [`encode_block`], plus the OR of its lookups (which has
+/// `OUTSIDE` set when a character is not in the alphabet).
+fn decode_block(chars: &[u8; 32]) -> ([u64; 3], u32) {
+    let mut groups = [0u64; 8];
+    let mut seen = 0u32;
+    for (group, quad) in groups.iter_mut().zip(chars.chunks_exact(4)) {
+        let v = DECODE[0][usize::from(quad[0])]
+            | DECODE[1][usize::from(quad[1])]
+            | DECODE[2][usize::from(quad[2])]
+            | DECODE[3][usize::from(quad[3])];
+        seen |= v;
+        *group = u64::from(v);
+    }
+    let g = groups;
+    let bits = [
+        g[0] << 40 | g[1] << 16 | g[2] >> 8,
+        g[2] << 56 | g[3] << 32 | g[4] << 8 | g[5] >> 16,
+        g[5] << 48 | g[6] << 24 | g[7],
+    ];
+    (bits.map(u64::swap_bytes), seen)
+}
+
+/// Appends `values`' little-endian bits to `out` as padded base64. The
+/// last block's missing values are zero bits, cut off at the last quad
+/// that holds real bits and padded with `=`.
+fn encode_payload(values: &[f64], out: &mut String) {
+    for chunk in values.chunks(3) {
+        let mut bits = [0u64; 3];
+        for (b, v) in bits.iter_mut().zip(chunk) {
+            assert!(v.is_finite(), "json: cannot serialise non-finite float {v}");
+            *b = v.to_bits();
+        }
+        let mut chars = encode_block(bits);
+        // 8n bytes take ⌈64n/6⌉ characters, padded to whole quads.
+        let used = (64 * chunk.len()).div_ceil(6);
+        let quads = (8 * chunk.len()).div_ceil(3) * 4;
+        chars[used..quads].fill(b'=');
+        out.push_str(std::str::from_utf8(&chars[..quads]).expect("base64 is ASCII"));
+    }
+}
+
+/// Decodes a payload string into its values, folding each value's bits
+/// into `hash`. The capacity comes from the string's length, so a short
+/// string never reserves much. Whole 32-character blocks hold three values
+/// each; the last one or two values take a 12- or 24-character tail that
+/// ends in as many `=`. The tail decodes with its padding read as zero
+/// bits, which a canonical encoding also leaves in every unused bit, so no
+/// other spelling of the same bits decodes.
+fn decode_payload(text: &str, hash: &mut u64) -> Result<Vec<f64>, JsonError> {
+    let (blocks, tail) = text.as_bytes().as_chunks::<32>();
+    let pad = match tail.len() {
+        0 => 0,
+        12 => 1,
+        24 => 2,
+        _ => {
+            return Err(JsonError::new(format!(
+                "payload of {} characters is not base64 of whole f64s",
+                text.len()
+            )))
+        }
+    };
+    let real = tail.len() - pad;
+    if tail[real..].iter().any(|&b| b != b'=') {
+        return Err(JsonError::new("payload is not padded with `=`"));
+    }
+    let mut values = Vec::with_capacity(3 * blocks.len() + pad);
+    let mut seen = 0u32;
+    let mut non_finite = false;
+    let mut push = |bits: &[u64]| {
+        for &b in bits {
+            *hash = fnv(*hash, b);
+            non_finite |= b & NON_FINITE == NON_FINITE;
+            values.push(f64::from_bits(b));
+        }
+    };
+    for block in blocks {
+        let (bits, v) = decode_block(block);
+        seen |= v;
+        push(&bits);
+    }
+    let mut last = [b'A'; 32];
+    last[..real].copy_from_slice(&tail[..real]);
+    let (bits, v) = decode_block(&last);
+    seen |= v;
+    let (bits, unused) = bits.split_at(pad);
+    push(bits);
+    if seen & OUTSIDE != 0 {
+        return Err(JsonError::new(
+            "payload holds a byte outside the base64 alphabet",
+        ));
+    }
+    if unused.iter().any(|&b| b != 0) {
+        return Err(JsonError::new("payload padding hides non-zero bits"));
+    }
+    if non_finite {
+        return Err(JsonError::new("payload holds a NaN or infinite value"));
+    }
+    Ok(values)
 }
 
 #[cfg(test)]

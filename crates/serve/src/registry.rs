@@ -630,7 +630,8 @@ mod tests {
     #[test]
     fn resident_lists_evict_what_a_full_scan_evicts() {
         // Deltas of three sizes, their JSON, and two texts that fail to
-        // parse (truncated; an overflowing literal).
+        // parse (truncated; an extra first tensor written as decimals
+        // whose literal overflows).
         let artifacts: Vec<DeltaArtifact> = [(3, 4), (3, 9), (5, 16)]
             .iter()
             .enumerate()
@@ -646,7 +647,8 @@ mod tests {
             .collect();
         let mut texts: Vec<String> = artifacts.iter().map(|a| a.to_json()).collect();
         texts.push(texts[0][..texts[0].len() / 2].to_string());
-        texts.push(texts[1].replacen("\"values\":[[", "\"values\":[[1e999,", 1));
+        texts.push(texts[1].replacen("\"values\":[", "\"values\":[[1e999],", 1));
+        assert_ne!(texts[4], texts[1]);
         let unit = artifacts[1].payload_bytes() as u64;
 
         for case in 0..60u64 {

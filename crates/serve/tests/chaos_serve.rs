@@ -12,7 +12,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use tasfar_core::faultinject::{self, Fault};
+use tasfar_nn::json::{Json, ToJson};
 use tasfar_nn::prelude::*;
+use tasfar_nn::spec::DeltaArtifact;
 use tasfar_serve::{
     generate, hash_tensor_bits, CompletionKind, OpClass, OpSpec, Residency, ServeConfig,
     ServeError, TrafficConfig,
@@ -234,12 +236,16 @@ fn evict_storm_rehydrates_bit_identically_mid_batch() {
     assert_eq!(residency, Residency::Resident);
 }
 
-/// A cold delta with a number literal that overflows `f64` (`1e999`) must
-/// fail to parse rather than rehydrate as infinite weights: the tenant
-/// serves the source model, and a later adapt and evict of it complete.
-/// (Decoded as `+inf`, it served NaN predictions, an adapt fell back to
-/// the infinite prior and stored it resident with no cold copy, and the
-/// eviction that serialised it panicked the worker.)
+/// A cold delta holding a value that is not finite must fail to parse
+/// rather than rehydrate as infinite weights: the tenant serves the source
+/// model, and a later adapt and evict of it complete. (Decoded as `+inf`,
+/// it served NaN predictions, an adapt fell back to the infinite prior and
+/// stored it resident with no cold copy, and the eviction that serialised
+/// it panicked the worker.) Two spellings: a legacy decimal document whose
+/// first number literal overflows `f64` (`1e999`), and a payload holding
+/// `+inf`'s bits under a valid `check`. They run in one test because
+/// `serve.cold_parse_errors` is process-wide, so two tests counting it
+/// would race.
 #[test]
 fn overflowing_cold_literal_degrades_to_source_through_adapt_and_evict() {
     let rt = support::runtime(ServeConfig::default());
@@ -248,51 +254,121 @@ fn overflowing_cold_literal_degrades_to_source_through_adapt_and_evict() {
     rt.submit_adapt(1, support::target_batch(&mut rng, 96, 0.5))
         .unwrap();
     worker.process_next();
-    let json = rt.registry().clone_artifact(1).unwrap().to_json();
+    let artifact = rt.registry().clone_artifact(1).unwrap();
+    let json = legacy_json(&artifact);
     let first = json.find("\"values\":[[").unwrap() + "\"values\":[[".len();
     let len = json[first..].find([',', ']']).unwrap();
-    let bad = format!("{}1e999{}", &json[..first], &json[first + len..]);
-    rt.registry()
-        .register_cold(30, std::sync::Arc::from(bad.as_str()));
+    let overflowing = format!("{}1e999{}", &json[..first], &json[first + len..]);
+    let own_bits = json_with_first_bits(&artifact, artifact.values[0][0].to_bits());
+    assert_eq!(own_bits, artifact.to_json(), "the test spells the format");
+    let infinite = json_with_first_bits(&artifact, f64::INFINITY.to_bits());
 
-    let x = Tensor::rand_normal(3, 2, 0.0, 1.0, &mut rng);
-    let (source_out, _) = worker.serve_solo(8, &x); // 8 = never registered
-    let source_hash = hash_tensor_bits(&source_out);
-    let parse_errors = || tasfar_obs::metrics::counter("serve.cold_parse_errors").get();
-    let errors_before = parse_errors();
+    for (tenant, bad) in [(30, overflowing), (31, infinite)] {
+        rt.registry()
+            .register_cold(tenant, std::sync::Arc::from(bad.as_str()));
 
-    rt.submit_predict(30, x.clone()).unwrap();
-    let done = worker.process_next();
-    match &done[0].kind {
-        CompletionKind::Predict { output, via } => {
-            assert_eq!(*via, tasfar_serve::ServedVia::Source);
-            assert_eq!(hash_tensor_bits(output), source_hash, "source bits");
-        }
-        other => panic!("expected predict, got {other:?}"),
-    }
-    assert_eq!(parse_errors(), errors_before + 1);
+        let x = Tensor::rand_normal(3, 2, 0.0, 1.0, &mut rng);
+        let (source_out, _) = worker.serve_solo(8, &x); // 8 = never registered
+        let source_hash = hash_tensor_bits(&source_out);
+        let parse_errors = || tasfar_obs::metrics::counter("serve.cold_parse_errors").get();
+        let errors_before = parse_errors();
 
-    rt.submit_adapt(30, support::target_batch(&mut rng, 96, -0.5))
-        .unwrap();
-    let done = worker.process_next();
-    assert!(
-        matches!(
-            done[0].kind,
-            CompletionKind::Adapt {
-                outcome: "adapted" | "recovered" | "fell_back"
+        rt.submit_predict(tenant, x.clone()).unwrap();
+        let done = worker.process_next();
+        match &done[0].kind {
+            CompletionKind::Predict { output, via } => {
+                assert_eq!(*via, tasfar_serve::ServedVia::Source, "tenant {tenant}");
+                assert_eq!(hash_tensor_bits(output), source_hash, "source bits");
             }
-        ),
-        "got {:?}",
-        done[0].kind
-    );
-    rt.submit_evict(30).unwrap();
-    let done = worker.process_next();
-    assert!(matches!(done[0].kind, CompletionKind::Evict { .. }));
-    rt.submit_predict(30, x).unwrap();
-    match &worker.process_next()[0].kind {
-        CompletionKind::Predict { output, .. } => {
-            assert!(output.as_slice().iter().all(|v| v.is_finite()));
+            other => panic!("expected predict, got {other:?}"),
         }
-        other => panic!("expected predict, got {other:?}"),
+        assert_eq!(parse_errors(), errors_before + 1, "tenant {tenant}");
+
+        rt.submit_adapt(tenant, support::target_batch(&mut rng, 96, -0.5))
+            .unwrap();
+        let done = worker.process_next();
+        assert!(
+            matches!(
+                done[0].kind,
+                CompletionKind::Adapt {
+                    outcome: "adapted" | "recovered" | "fell_back"
+                }
+            ),
+            "tenant {tenant}: got {:?}",
+            done[0].kind
+        );
+        rt.submit_evict(tenant).unwrap();
+        let done = worker.process_next();
+        assert!(matches!(done[0].kind, CompletionKind::Evict { .. }));
+        rt.submit_predict(tenant, x).unwrap();
+        match &worker.process_next()[0].kind {
+            CompletionKind::Predict { output, .. } => {
+                assert!(output.as_slice().iter().all(|v| v.is_finite()));
+            }
+            other => panic!("expected predict, got {other:?}"),
+        }
     }
+}
+
+/// `artifact` in the format earlier builds wrote: decimal `values`, no
+/// `check`.
+fn legacy_json(artifact: &DeltaArtifact) -> String {
+    let shapes = artifact
+        .shapes
+        .iter()
+        .map(|&(r, c)| Json::Arr(vec![Json::from(r), Json::from(c)]))
+        .collect();
+    Json::obj(vec![
+        ("rank", Json::from(artifact.rank)),
+        ("alpha", Json::Num(artifact.alpha)),
+        ("shapes", Json::Arr(shapes)),
+        ("values", artifact.values.to_json_value()),
+    ])
+    .to_string()
+}
+
+/// What `DeltaArtifact::to_json` writes for `artifact` with its first
+/// value's bits replaced by `first`, which the writer itself refuses when
+/// they are not finite: each payload is the base64 of its values'
+/// little-endian bits, and `check` is FNV-1a over the rank, alpha's bits,
+/// each shape's rows and cols and then every value's bits, as 64-bit words.
+fn json_with_first_bits(artifact: &DeltaArtifact, first: u64) -> String {
+    const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    let fnv = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let header = [artifact.rank as u64, artifact.alpha.to_bits()];
+    let shapes = artifact
+        .shapes
+        .iter()
+        .flat_map(|&(r, c)| [r as u64, c as u64]);
+    let mut check = header
+        .into_iter()
+        .chain(shapes)
+        .fold(0xcbf2_9ce4_8422_2325, fnv);
+    let mut payloads = Vec::new();
+    for (i, tensor) in artifact.values.iter().enumerate() {
+        let mut bytes = Vec::new();
+        for (j, v) in tensor.iter().enumerate() {
+            let bits = if (i, j) == (0, 0) { first } else { v.to_bits() };
+            check = fnv(check, bits);
+            bytes.extend(bits.to_le_bytes());
+        }
+        let mut text = String::from("\"");
+        for group in bytes.chunks(3) {
+            let word = (0..3).fold(0u32, |w, k| w << 8 | u32::from(*group.get(k).unwrap_or(&0)));
+            for k in 0..4 {
+                text.push(match k <= group.len() {
+                    true => char::from(B64[(word >> (18 - 6 * k)) as usize & 63]),
+                    false => '=',
+                });
+            }
+        }
+        text.push('"');
+        payloads.push(text);
+    }
+    let json = artifact.to_json();
+    let head = &json[..json.find("\"values\"").unwrap()];
+    format!(
+        "{head}\"values\":[{}],\"check\":\"{check:016x}\"}}",
+        payloads.join(",")
+    )
 }
